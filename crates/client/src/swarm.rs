@@ -55,6 +55,12 @@ use bso_telemetry::trace::{TraceArg, TraceWorker};
 use crate::resilient::{alloc_tokens, reconnect_worthy};
 use crate::{next_trace_id, ClientError};
 
+/// Bound on each blocking step of bringing a lane up: the TCP connect
+/// and every read and write of the `Hello` and `Resume` exchanges. A
+/// server that accepts but never answers costs a lane this long (then
+/// the reconnect rotation moves on), not the whole multiplexer forever.
+pub const DIAL_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Fluent configuration for a [`Swarm`] run.
 #[derive(Clone, Debug)]
 pub struct SwarmBuilder {
@@ -339,17 +345,12 @@ impl Swarm {
         let mut lanes = Vec::with_capacity(cfg.connections);
         for conn in 0..cfg.connections {
             let token = session_base + conn as u64;
-            let mut stream = TcpStream::connect(addr)?;
-            if cfg.nodelay {
-                stream.set_nodelay(true)?;
-            }
-            if cfg.handshake || cfg.resilient {
-                handshake(&mut stream)?;
-            }
-            if cfg.resilient {
-                resume(&mut stream, token, 0)?;
-            }
-            poll::set_nonblocking(&stream)?;
+            let stream = dial(
+                addr,
+                cfg.nodelay,
+                cfg.handshake || cfg.resilient,
+                cfg.resilient.then_some((token, 0)),
+            )?;
             poller.register(poll::raw_fd(&stream), conn as u64, Interest::READ)?;
             lanes.push(Lane {
                 stream,
@@ -660,17 +661,7 @@ impl Swarm {
         let (stream, chosen) = loop {
             let target = candidates[(start + attempt as usize) % candidates.len()];
             attempt += 1;
-            let dial = TcpStream::connect(target)
-                .map_err(ClientError::Io)
-                .and_then(|mut s| {
-                    if self.cfg.nodelay {
-                        s.set_nodelay(true)?;
-                    }
-                    handshake(&mut s)?;
-                    resume(&mut s, token, last_acked)?;
-                    Ok(s)
-                });
-            match dial {
+            match dial(target, self.cfg.nodelay, true, Some((token, last_acked))) {
                 Ok(s) => break (s, target),
                 Err(e) if attempt < 30 && reconnect_worthy(&e) => {
                     // Capped exponential backoff, jittered into the
@@ -682,7 +673,6 @@ impl Swarm {
                 Err(e) => return Err(e),
             }
         };
-        poll::set_nonblocking(&stream)?;
         self.poller
             .register(poll::raw_fd(&stream), conn as u64, Interest::READ)?;
         if chosen != prev {
@@ -769,14 +759,16 @@ impl Swarm {
             }
 
             let timeout = match gap {
-                Some(_) if !self.done_issuing => {
-                    let now = Instant::now();
-                    Some(
-                        next_arrival
-                            .saturating_duration_since(now)
-                            .max(Duration::ZERO),
-                    )
-                }
+                // Sleep until the next arrival or a response, but at
+                // least 1 ms: an arrival already due waits for the next
+                // response event and goes out in the batch it wakes,
+                // rather than the generator spinning on zero-timeout
+                // polls and taking the CPU the server shares with it.
+                Some(_) if !self.done_issuing => Some(
+                    next_arrival
+                        .saturating_duration_since(Instant::now())
+                        .max(Duration::from_millis(1)),
+                ),
                 _ => Some(Duration::from_millis(50)),
             };
             self.poller.wait(&mut events, timeout)?;
@@ -804,6 +796,31 @@ impl Swarm {
         debug_assert_eq!(self.report.rtt_ns.len() as u64, self.report.ops_ok);
         Ok(self.report)
     }
+}
+
+/// Connects a lane's socket and runs its blocking set-up — `Hello`
+/// if `hello`, `Resume { token, last_acked }` if `resume` — each step
+/// bounded by [`DIAL_TIMEOUT`]; returns the socket nonblocking.
+fn dial(
+    addr: std::net::SocketAddr,
+    nodelay: bool,
+    hello: bool,
+    resume_from: Option<(u64, u64)>,
+) -> Result<TcpStream, ClientError> {
+    let mut stream = TcpStream::connect_timeout(&addr, DIAL_TIMEOUT)?;
+    stream.set_read_timeout(Some(DIAL_TIMEOUT))?;
+    stream.set_write_timeout(Some(DIAL_TIMEOUT))?;
+    if nodelay {
+        stream.set_nodelay(true)?;
+    }
+    if hello {
+        handshake(&mut stream)?;
+    }
+    if let Some((token, last_acked)) = resume_from {
+        resume(&mut stream, token, last_acked)?;
+    }
+    poll::set_nonblocking(&stream)?;
+    Ok(stream)
 }
 
 /// Blocking `Hello` exchange on a fresh socket, before it goes

@@ -10,9 +10,10 @@
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
+use bso_client::swarm::DIAL_TIMEOUT;
 use bso_client::{Connection, ResilientClient, RetryPolicy, Swarm};
 use bso_objects::rng::SplitMix64;
 use bso_objects::{Layout, ObjectId, ObjectInit, Op, OpKind};
@@ -216,4 +217,88 @@ fn resilient_client_reconnects_and_never_double_applies() {
     let stats = handle.shutdown();
     assert_eq!(stats.malformed, 0);
     assert!(stats.resumes >= 3);
+}
+
+/// A proxy for exactly `conns` connections, each killed after `budget`
+/// client->server bytes; it stops listening once they are accepted, so
+/// a reconnect to it is refused. The handle joins the accept thread.
+fn one_shot_proxy(
+    upstream: SocketAddr,
+    conns: usize,
+    budget: u64,
+) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let acceptor = std::thread::spawn(move || {
+        for _ in 0..conns {
+            let (client, _) = listener.accept().unwrap();
+            let server = TcpStream::connect(upstream).unwrap();
+            let (c2, s2) = (client.try_clone().unwrap(), server.try_clone().unwrap());
+            std::thread::spawn(move || forward(client, server, Some(budget)));
+            std::thread::spawn(move || forward(s2, c2, None));
+        }
+    });
+    (addr, acceptor)
+}
+
+#[test]
+fn swarm_reconnect_rotates_past_a_server_that_never_answers() {
+    const OPS: u64 = 2000;
+    const CONNS: usize = 2;
+    let handle = serve();
+    let server = handle.local_addr();
+    // A server that accepts and never answers: the kernel completes
+    // every handshake into the backlog, nobody ever reads.
+    let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+    let silent_addr = silent.local_addr().unwrap();
+    // Lanes start through the proxy; once it kills them, each
+    // reconnect rotates proxy (refused) -> silent server -> server.
+    let (proxy, proxy_acceptor) = one_shot_proxy(server, CONNS, 2_000);
+
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let started = Instant::now();
+        let report = Swarm::builder()
+            .connections(CONNS)
+            .pipeline(4)
+            .resilient(true)
+            .session_base(0x5113_0000)
+            .retry_seed(0x5113)
+            .fallback_addrs(vec![silent_addr, server])
+            .run(proxy, |_conn, seq| {
+                (seq < OPS).then(|| (0usize, Op::new(ObjectId(0), OpKind::FetchAdd(1))))
+            });
+        let _ = tx.send((report, started.elapsed()));
+    });
+    // Each lane spends at most one DIAL_TIMEOUT on the silent server;
+    // the rest is generous slack for a loaded machine. Before the
+    // bound existed, the first lane's `Hello` waited forever.
+    let bound = DIAL_TIMEOUT * 2 * CONNS as u32 + Duration::from_secs(20);
+    let (report, elapsed) = rx
+        .recv_timeout(bound)
+        .unwrap_or_else(|_| panic!("a silent server froze the swarm for {bound:?}"));
+    runner.join().unwrap();
+    proxy_acceptor.join().unwrap();
+    let report = report.expect("the swarm rotates past the silent server");
+
+    assert_eq!(report.ops_ok, OPS);
+    assert_eq!(report.ops_err, 0);
+    assert!(
+        report.reconnects >= CONNS as u64,
+        "every lane was killed and reconnected, saw {}",
+        report.reconnects
+    );
+    assert!(
+        report.redirects >= CONNS as u64,
+        "lanes moved off the proxy"
+    );
+    assert!(
+        elapsed >= DIAL_TIMEOUT,
+        "a lane waited out the dial bound ({elapsed:?})"
+    );
+    // The rotation really dialed the silent server.
+    silent.set_nonblocking(true).unwrap();
+    assert!(silent.accept().is_ok(), "no dial reached the silent server");
+    assert_eq!(read_counter(server), OPS as i64);
+    handle.shutdown();
 }

@@ -4,9 +4,9 @@
 //! # Topology
 //!
 //! ```text
-//! acceptor ──round-robin NewConn──▶ event loop 0 ◀──▶ XQueue/Ctl ◀──▶ event loop 1 …
-//!                                      │
-//!                        owns: conns (Slab) + ShardState + Poller + Arena
+//! acceptor ──round-robin NewConn──▶ Inbox ─▶ event loop 0 ◀──Xfer/Reply──▶ Inbox ─▶ event loop 1 …
+//!                                               │
+//!                                 owns: conns (Slab) + ShardState + Poller + Arena
 //! ```
 //!
 //! One loop per shard. Each loop owns *both* a slice of the
@@ -14,22 +14,40 @@
 //! (`id % nloops == index`), so the common case — a request arriving
 //! on the loop that owns its object — is applied inline between a
 //! `read` and a `write` with no queue, no lock, and no thread
-//! handoff. Only cross-shard requests travel the bounded [`XQueue`]
-//! to the owner loop, which applies them and routes the reply back
-//! through the origin loop's [`Ctl`] inbox — the origin loop is the
-//! **single writer** for its sockets, so responses never interleave
-//! mid-frame.
+//! handoff. Only cross-shard requests travel to the owner loop's
+//! [`Inbox`] as bounded work ([`Msg::Xfer`]); the owner applies them
+//! and routes the reply back into the origin loop's inbox
+//! ([`Msg::Reply`]) — the origin loop is the **single writer** for its
+//! sockets, so responses never interleave mid-frame.
 //!
-//! # Batching
+//! # Batching and wakeups
 //!
 //! Responses are staged into per-connection write buffers and flushed
 //! once per readiness turn (or when a buffer passes the high-water
 //! mark), so a pipelined client's burst of `n` requests costs one
-//! `write` syscall, not `n`. Wakeups to peer loops are batched the
-//! same way: at most one `wake()` per peer per turn, regardless of how
-//! many transfers were queued. The per-loop `server.loop<i>.flush_batch`
+//! `write` syscall, not `n`. The per-loop `server.loop<i>.flush_batch`
 //! histogram records frames-per-flush; `server.loop<i>.wakeups` counts
 //! turns.
+//!
+//! Waking a peer costs a syscall only when the peer is asleep. Before
+//! each wait a loop *parks* ([`Inbox::park`]: set the flag, `SeqCst`
+//! fence, re-check the inbox, and — unless a drain is already under
+//! way — the shutdown flag); it blocks only if both are clear and
+//! otherwise polls without blocking. A producer pushes, then notifies:
+//! it swaps the flag off and writes the loop's self-pipe only if it
+//! was on. A loop notifies each peer it pushed to once, at the end of
+//! its turn, so the peer wakes to the turn's whole batch. A busy loop
+//! is therefore fed with no pipe traffic at all, and no push can be
+//! stranded behind a sleeping loop whatever order a turn drains its
+//! inbox and its pipe in (see [`crate::inbox`] and the model-checked
+//! handshake in `tests/wake_handshake.rs`).
+//!
+//! Hot counters stay loop-local: the `requests`/`responses` totals are
+//! committed to the shared [`StatCells`] before any flush (so every
+//! response a client can have seen is counted, and `ServerStats` is
+//! exact at quiescence), and each loop's count of forwarded-but-
+//! unanswered transfers lives in a cache-padded cell only that loop
+//! writes.
 //!
 //! # Observability
 //!
@@ -50,15 +68,14 @@
 //!
 //! Shutdown raises a flag and wakes every loop. Loops keep answering
 //! (`ShuttingDown` for new work), finish queued transfers, flush
-//! write buffers, and exit when the global in-flight count hits zero
+//! write buffers, and exit when every loop's in-flight count is zero
 //! — bounded by [`DRAIN_DEADLINE`] so a stuck peer socket cannot wedge
 //! the process.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bso_objects::{Layout, Op, Value};
@@ -66,11 +83,12 @@ use bso_telemetry::trace::{TraceArg, TraceWorker};
 use bso_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::arena::{Arena, Slab};
+use crate::inbox::{Inbox, RouteError};
 use crate::introspect::{self, IntrospectState, ProbeScratch};
 use crate::poll::{self, Interest, Poller, WakeReader, Waker};
 use crate::routing::RouteControl;
 use crate::session::{Begin, ResumeTable};
-use crate::shard::{RouteError, ShardState, XQueue};
+use crate::shard::ShardState;
 use crate::wire::{self, ErrorCode, Request, Response, TraceContext};
 
 /// Poller token reserved for the loop's wake pipe.
@@ -87,14 +105,12 @@ const FLUSH_HIGH_WATER: usize = 1 << 20;
 /// a firehose connection cannot starve its siblings on the same loop.
 const READ_BUDGET_CHUNKS: usize = 4;
 
-/// Loop-to-loop control messages (unbounded: these are obligations —
-/// replies owed and sockets already accepted — not new work, so
-/// refusing them is never correct).
-pub(crate) enum Ctl {
-    /// A freshly accepted socket this loop now owns.
+/// Everything other threads hand an event loop, through its [`Inbox`].
+pub(crate) enum Msg {
+    /// A freshly accepted socket this loop now owns (an obligation).
     NewConn(TcpStream),
-    /// The answer to a cross-loop [`Xfer`], addressed by slot +
-    /// generation so a recycled slot cannot receive a dead
+    /// The answer to a cross-loop [`Xfer`] (an obligation), addressed
+    /// by slot + generation so a recycled slot cannot receive a dead
     /// connection's reply.
     Reply {
         conn: u32,
@@ -102,6 +118,9 @@ pub(crate) enum Ctl {
         req_id: u64,
         resp: Response,
     },
+    /// Shard work forwarded by a peer loop (bounded by the inbox
+    /// capacity).
+    Xfer(Xfer),
 }
 
 /// The shard work carried by a cross-loop transfer.
@@ -165,31 +184,28 @@ pub(crate) struct Xfer {
     work: Work,
 }
 
-/// One loop's shared-facing surface: its control inbox, its bounded
-/// cross-loop work queue, and its waker.
+/// Keeps a value on a cache line (pair) of its own.
+#[repr(align(128))]
+#[derive(Default)]
+struct Padded<T>(T);
+
+/// One loop's shared-facing surface: its inbox and its count of
+/// forwarded-but-unanswered transfers.
 pub(crate) struct LoopHandle {
-    ctl: Mutex<VecDeque<Ctl>>,
-    pub(crate) xq: XQueue<Xfer>,
-    waker: Waker,
+    pub(crate) inbox: Inbox<Msg>,
+    /// Transfers this loop forwarded whose replies it has not yet
+    /// consumed (or recognized as stale). Only this loop writes it;
+    /// drain completion requires every loop's cell to read zero, so no
+    /// queued request is silently dropped during shutdown.
+    inflight: Padded<AtomicI64>,
 }
 
 impl LoopHandle {
     pub(crate) fn new(capacity: usize, depth: Gauge, waker: Waker) -> LoopHandle {
         LoopHandle {
-            ctl: Mutex::new(VecDeque::new()),
-            xq: XQueue::new(capacity, depth),
-            waker,
+            inbox: Inbox::new(capacity, depth, waker),
+            inflight: Padded::default(),
         }
-    }
-
-    /// Queues a control message. The caller wakes the loop (possibly
-    /// batched) afterwards.
-    pub(crate) fn send_ctl(&self, c: Ctl) {
-        self.ctl.lock().unwrap().push_back(c);
-    }
-
-    pub(crate) fn wake(&self) {
-        self.waker.wake();
     }
 }
 
@@ -221,11 +237,6 @@ pub(crate) struct StatCells {
 pub(crate) struct Shared {
     pub(crate) loops: Vec<LoopHandle>,
     pub(crate) shutdown: AtomicBool,
-    /// Cross-loop transfers pushed but whose replies have not yet been
-    /// consumed (or recognized as stale) by their origin loop. Drain
-    /// completion requires this to reach zero, so no queued request is
-    /// silently dropped during shutdown.
-    pub(crate) inflight: AtomicI64,
     pub(crate) next_session: AtomicU32,
     pub(crate) stats: StatCells,
     /// Always-on introspection: bind-time config plus one probe (plain
@@ -255,9 +266,11 @@ enum FrameOutcome {
 struct Conn {
     stream: TcpStream,
     gen: u32,
+    /// Read buffer. Its length only grows (so reads never re-zero
+    /// it); the input lives in `rbuf[..rlen]`.
     rbuf: Vec<u8>,
-    /// Parse offset into `rbuf` (bytes before it are consumed frames).
-    rpos: usize,
+    /// Bytes read but not yet parsed into frames.
+    rlen: usize,
     wbuf: Vec<u8>,
     /// Flush offset into `wbuf` (bytes before it are already written).
     wpos: usize,
@@ -314,11 +327,19 @@ pub(crate) struct EventLoop {
     /// Loop-local probe buffer, committed to the shared
     /// [`LoopProbe`](crate::introspect::LoopProbe) once per turn.
     probe: ProbeScratch,
+    /// Requests/responses counted since the last commit to
+    /// [`StatCells`] (see [`EventLoop::commit_counts`]).
+    uncommitted_requests: u64,
+    uncommitted_responses: u64,
+    /// This loop's forwarded-but-unanswered transfers; mirrored into
+    /// its [`LoopHandle`] cell on every change.
+    inflight: i64,
+    /// Peers this turn pushed to, owed an [`Inbox::notify`] at its
+    /// end: a peer wakes once to the turn's whole batch.
+    owed_notify: Vec<bool>,
     // Scratch reused across turns.
     events: Vec<poll::Event>,
-    inbox: Vec<Ctl>,
-    xwork: Vec<Xfer>,
-    pending_wakes: Vec<bool>,
+    mail: Vec<Msg>,
     touched: Vec<u32>,
 }
 
@@ -366,10 +387,12 @@ impl EventLoop {
             conns_gauge: registry.gauge(&format!("server.loop{index}.conns")),
             flush_batch: None,
             probe: ProbeScratch::default(),
+            uncommitted_requests: 0,
+            uncommitted_responses: 0,
+            inflight: 0,
+            owed_notify: vec![false; nloops],
             events: Vec::with_capacity(256),
-            inbox: Vec::new(),
-            xwork: Vec::new(),
-            pending_wakes: vec![false; nloops],
+            mail: Vec::new(),
             touched: Vec::new(),
         }
     }
@@ -390,21 +413,32 @@ impl EventLoop {
             .expect("register wake pipe");
         let mut drain_started: Option<Instant> = None;
         loop {
-            let shutting = self.shared.shutdown.load(Ordering::Acquire);
-            if shutting && drain_started.is_none() {
+            if drain_started.is_none() && self.shared.shutdown.load(Ordering::Acquire) {
                 drain_started = Some(Instant::now());
             }
-            let timeout = shutting.then_some(DRAIN_POLL);
+            // Park, then block only if neither the inbox nor (outside a
+            // drain) the shutdown flag has news; any push after the
+            // park writes the pipe. A drain keeps its bounded poll
+            // rather than spinning on the flag it already saw.
+            let timeout = if !self.shared.loops[self.index].inbox.park() {
+                Some(Duration::ZERO)
+            } else if drain_started.is_some() {
+                Some(DRAIN_POLL)
+            } else if self.shared.shutdown.load(Ordering::SeqCst) {
+                Some(Duration::ZERO)
+            } else {
+                None
+            };
             let mut events = std::mem::take(&mut self.events);
             if let Err(e) = self.poller.wait(&mut events, timeout) {
                 debug_assert!(false, "poller wait failed: {e}");
             }
+            self.shared.loops[self.index].inbox.unpark();
             // Turn time measures the work between poll returns, not
             // the idle wait itself.
             let turn_start = Instant::now();
             self.wakeups.inc();
-            self.drain_ctl();
-            self.drain_xq();
+            self.drain_inbox();
             for ev in &events {
                 if ev.token == WAKE_TOKEN {
                     self.wake.drain();
@@ -420,15 +454,17 @@ impl EventLoop {
             }
             self.events = events;
             self.flush_touched();
-            // Commit before waking peers: a loop woken by our transfer
-            // replies then observes this turn's records as committed.
+            self.commit_counts();
+            // Commit before notifying peers: a loop woken by our
+            // transfer replies then observes this turn's records as
+            // committed.
             self.shared.introspect.commit_turn(
                 self.index,
                 &mut self.probe,
                 u64::try_from(turn_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 self.conns.len(),
             );
-            self.send_wakes();
+            self.notify_peers();
             if let Some(since) = drain_started {
                 if self.drained(since) {
                     break;
@@ -440,37 +476,48 @@ impl EventLoop {
 
     // ------------------------------------------------------------ inbound
 
-    fn drain_ctl(&mut self) {
-        let mut inbox = std::mem::take(&mut self.inbox);
-        {
-            let mut q = self.shared.loops[self.index].ctl.lock().unwrap();
-            inbox.extend(q.drain(..));
-        }
-        for c in inbox.drain(..) {
-            match c {
-                Ctl::NewConn(stream) => {
+    fn drain_inbox(&mut self) {
+        let mut mail = std::mem::take(&mut self.mail);
+        self.shared.loops[self.index].inbox.drain_into(&mut mail);
+        for m in mail.drain(..) {
+            match m {
+                Msg::NewConn(stream) => {
                     if self.shared.shutdown.load(Ordering::Acquire) {
                         drop(stream); // accepted during shutdown: refuse
                     } else {
                         self.adopt(stream);
                     }
                 }
-                Ctl::Reply {
+                Msg::Reply {
                     conn,
                     gen,
                     req_id,
                     resp,
-                } => {
-                    self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                    // If the connection died in the meantime the reply is moot.
-                    if let Some(c) = self.conns.get_mut_gen(conn, gen) {
-                        c.inflight_remote = c.inflight_remote.saturating_sub(1);
-                        self.respond(conn, req_id, &resp);
-                    }
-                }
+                } => self.settle_remote(conn, gen, req_id, &resp),
+                Msg::Xfer(x) => self.serve_xfer(x),
             }
         }
-        self.inbox = inbox;
+        self.mail = mail;
+    }
+
+    /// Consumes the reply to one of this loop's transfers: the
+    /// transfer is no longer in flight, and the reply is staged if its
+    /// connection is still the one that asked.
+    fn settle_remote(&mut self, conn: u32, gen: u32, req_id: u64, resp: &Response) {
+        self.add_inflight(-1);
+        // If the connection died in the meantime the reply is moot.
+        if let Some(c) = self.conns.get_mut_gen(conn, gen) {
+            c.inflight_remote = c.inflight_remote.saturating_sub(1);
+            self.respond(conn, req_id, resp);
+        }
+    }
+
+    fn add_inflight(&mut self, delta: i64) {
+        self.inflight += delta;
+        self.shared.loops[self.index]
+            .inflight
+            .0
+            .store(self.inflight, Ordering::Release);
     }
 
     fn adopt(&mut self, stream: TcpStream) {
@@ -482,7 +529,7 @@ impl EventLoop {
             stream,
             gen: 0,
             rbuf,
-            rpos: 0,
+            rlen: 0,
             wbuf,
             wpos: 0,
             write_armed: false,
@@ -507,110 +554,103 @@ impl EventLoop {
         self.conns_gauge.set(self.conns.len() as u64);
     }
 
-    fn drain_xq(&mut self) {
-        let mut xwork = std::mem::take(&mut self.xwork);
-        self.shared.loops[self.index].xq.drain_into(&mut xwork);
-        for x in xwork.drain(..) {
-            let queue_ns = u64::try_from(x.queued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            // Deadline check at the apply site: queued work whose
-            // freshness budget ran out is shed — refused, never
-            // applied — so an overloaded shard spends its time on
-            // answers clients are still waiting for.
-            let resp = if x.deadline.is_some_and(|d| Instant::now() >= d) {
+    /// Applies a transfer forwarded by a peer and routes the answer
+    /// back to its origin loop.
+    fn serve_xfer(&mut self, x: Xfer) {
+        let queue_ns = u64::try_from(x.queued.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        // Deadline check at the apply site: queued work whose
+        // freshness budget ran out is shed — refused, never
+        // applied — so an overloaded shard spends its time on
+        // answers clients are still waiting for.
+        let resp = if x.deadline.is_some_and(|d| Instant::now() >= d) {
+            if let Some(token) = x.sess {
+                self.shared.sessions.abort(token, x.req_id);
+            }
+            self.note_shed();
+            Response::Err {
+                code: ErrorCode::Expired,
+                message: format!(
+                    "deadline expired after {}us in the cross-shard queue; op not applied",
+                    queue_ns / 1_000
+                ),
+            }
+        } else {
+            // Routing check at the apply site, under a guard held
+            // across the apply itself: once `DetachRanges` wins the
+            // table's write lock, every apply on a detached range
+            // has either completed (its effect is visible to the
+            // migration's `ExportObject`) or bounces `WrongShard`.
+            let route = self.shared.route.guard();
+            let denied = match &x.work {
+                Work::Apply { op, .. } => {
+                    let object = op.obj.0 as u64;
+                    route.check(object).err().map(|epoch| (epoch, object))
+                }
+                // Election and cluster-plane work is not
+                // range-routed (see `Work::ExportObject`).
+                _ => None,
+            };
+            if let Some((epoch, object)) = denied {
+                drop(route);
                 if let Some(token) = x.sess {
                     self.shared.sessions.abort(token, x.req_id);
                 }
-                self.note_shed();
+                self.note_wrong_shard();
                 Response::Err {
-                    code: ErrorCode::Expired,
-                    message: format!(
-                        "deadline expired after {}us in the cross-shard queue; op not applied",
-                        queue_ns / 1_000
-                    ),
+                    code: ErrorCode::WrongShard,
+                    message: wire::wrong_shard_message(epoch, object),
                 }
             } else {
-                // Routing check at the apply site, under a guard held
-                // across the apply itself: once `DetachRanges` wins the
-                // table's write lock, every apply on a detached range
-                // has either completed (its effect is visible to the
-                // migration's `ExportObject`) or bounces `WrongShard`.
-                let shared = Arc::clone(&self.shared);
-                let route = shared.route.guard();
-                let denied = match &x.work {
-                    Work::Apply { op, .. } => {
+                let resp = match x.work {
+                    Work::Apply { pid, op, trace } => {
                         let object = op.obj.0 as u64;
-                        route.check(object).err().map(|epoch| (epoch, object))
+                        let t0 = self.span_start(trace);
+                        let (resp, apply_ns) = self.shard.apply(pid, &op);
+                        self.record_apply(trace, t0, object, apply_ns);
+                        // batch 0: the reply is staged by the origin loop,
+                        // so this loop cannot know its flush position.
+                        self.probe
+                            .push_request(wire::OP_APPLY, object, queue_ns, apply_ns, 0);
+                        resp
                     }
-                    // Election and cluster-plane work is not
-                    // range-routed (see `Work::ExportObject`).
-                    _ => None,
+                    Work::OpenElection { session, k } => self.shard.open_election(session, k),
+                    Work::Elect { session, pid } => {
+                        let (resp, elect_ns) = self.shard.elect(session, pid);
+                        self.probe.push_request(
+                            wire::OP_ELECT,
+                            u64::from(session),
+                            queue_ns,
+                            elect_ns,
+                            0,
+                        );
+                        resp
+                    }
+                    work => Self::run_admin(&mut self.shard, work),
                 };
-                if let Some((epoch, object)) = denied {
-                    if let Some(token) = x.sess {
-                        self.shared.sessions.abort(token, x.req_id);
-                    }
-                    self.note_wrong_shard();
-                    Response::Err {
-                        code: ErrorCode::WrongShard,
-                        message: wire::wrong_shard_message(epoch, object),
-                    }
-                } else {
-                    let resp = match x.work {
-                        Work::Apply { pid, op, trace } => {
-                            let object = op.obj.0 as u64;
-                            let t0 = self.span_start(trace);
-                            let (resp, apply_ns) = self.shard.apply(pid, &op);
-                            self.record_apply(trace, t0, object, apply_ns);
-                            // batch 0: the reply is staged by the origin loop,
-                            // so this loop cannot know its flush position.
-                            self.probe
-                                .push_request(wire::OP_APPLY, object, queue_ns, apply_ns, 0);
-                            resp
-                        }
-                        Work::OpenElection { session, k } => self.shard.open_election(session, k),
-                        Work::Elect { session, pid } => {
-                            let (resp, elect_ns) = self.shard.elect(session, pid);
-                            self.probe.push_request(
-                                wire::OP_ELECT,
-                                u64::from(session),
-                                queue_ns,
-                                elect_ns,
-                                0,
-                            );
-                            resp
-                        }
-                        work => self.run_admin(work),
-                    };
-                    // The outcome is recorded against the session *here*,
-                    // atomically-with-the-apply from the retry's point of
-                    // view: even if the origin connection died, a retry of
-                    // this req_id replays this response instead of
-                    // re-applying the op.
-                    if let Some(token) = x.sess {
-                        self.shared.sessions.complete(token, x.req_id, &resp);
-                    }
-                    resp
+                // The outcome is recorded against the session *here*,
+                // atomically-with-the-apply from the retry's point of
+                // view: even if the origin connection died, a retry of
+                // this req_id replays this response instead of
+                // re-applying the op.
+                if let Some(token) = x.sess {
+                    self.shared.sessions.complete(token, x.req_id, &resp);
                 }
-            };
-            if x.origin == self.index {
-                // Never produced by `forward` (own-shard work applies
-                // inline), but harmless to answer locally.
-                self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                if let Some(c) = self.conns.get_mut_gen(x.conn, x.gen) {
-                    c.inflight_remote = c.inflight_remote.saturating_sub(1);
-                    self.respond(x.conn, x.req_id, &resp);
-                }
-            } else {
-                self.shared.loops[x.origin].send_ctl(Ctl::Reply {
-                    conn: x.conn,
-                    gen: x.gen,
-                    req_id: x.req_id,
-                    resp,
-                });
-                self.pending_wakes[x.origin] = true;
+                resp
             }
+        };
+        if x.origin == self.index {
+            // Never produced by `forward` (own-shard work applies
+            // inline), but harmless to answer locally.
+            self.settle_remote(x.conn, x.gen, x.req_id, &resp);
+        } else {
+            self.shared.loops[x.origin].inbox.push(Msg::Reply {
+                conn: x.conn,
+                gen: x.gen,
+                req_id: x.req_id,
+                resp,
+            });
+            self.owed_notify[x.origin] = true;
         }
-        self.xwork = xwork;
     }
 
     // ------------------------------------------------------------- reading
@@ -623,37 +663,37 @@ impl EventLoop {
             return; // already winding down; ignore further input
         }
         let mut rbuf = std::mem::take(&mut c.rbuf);
-        let mut rpos = c.rpos;
+        let mut rlen = c.rlen;
+        let mut rpos = 0;
         let mut budget = self.read_chunk * READ_BUDGET_CHUNKS;
         let mut outcome = FrameOutcome::Next;
-        'turn: while budget > 0 {
-            let start = rbuf.len();
+        // A short read means the kernel buffer is empty: stop there
+        // instead of paying for a `read` that only returns `EAGAIN`
+        // (polling is level-triggered, so later bytes re-report).
+        let mut short_read = false;
+        'turn: while budget > 0 && !short_read {
             let want = self.read_chunk.min(budget);
-            rbuf.resize(start + want, 0);
+            // Grow (zeroing) only past what earlier reads initialized;
+            // the buffer keeps its length between reads.
+            if rbuf.len() < rlen + want {
+                rbuf.resize(rlen + want, 0);
+            }
             let Some(c) = self.conns.get_mut(slot) else {
-                rbuf.truncate(start);
                 break;
             };
-            match c.stream.read(&mut rbuf[start..]) {
+            match c.stream.read(&mut rbuf[rlen..rlen + want]) {
                 Ok(0) => {
-                    rbuf.truncate(start);
                     outcome = FrameOutcome::CloseGraceful;
                     break;
                 }
                 Ok(n) => {
-                    rbuf.truncate(start + n);
+                    rlen += n;
                     budget -= n;
+                    short_read = n < want;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    rbuf.truncate(start);
-                    break;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    rbuf.truncate(start);
-                    continue;
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    rbuf.truncate(start);
                     outcome = FrameOutcome::CloseHard;
                     break;
                 }
@@ -662,7 +702,7 @@ impl EventLoop {
             // parsed-but-unhandled bytes would lose them (the poller
             // only re-reports *kernel*-buffered data).
             loop {
-                match wire::split_frame(&rbuf, rpos) {
+                match wire::split_frame(&rbuf[..rlen], rpos) {
                     Ok(Some(range)) => {
                         rpos = range.end;
                         match self.handle_frame(slot, &rbuf[range]) {
@@ -682,17 +722,12 @@ impl EventLoop {
                 }
             }
         }
-        // Compact consumed frames out of the buffer and hand it back.
-        if rpos >= rbuf.len() {
-            rbuf.clear();
-            rpos = 0;
-        } else if rpos > 0 {
-            rbuf.drain(..rpos);
-            rpos = 0;
-        }
+        // Move the unparsed tail to the front and hand the buffer back.
+        rbuf.copy_within(rpos..rlen, 0);
+        rlen -= rpos;
         if let Some(c) = self.conns.get_mut(slot) {
             c.rbuf = rbuf;
-            c.rpos = rpos;
+            c.rlen = rlen;
         }
         match outcome {
             FrameOutcome::Next => {}
@@ -702,8 +737,7 @@ impl EventLoop {
     }
 
     fn handle_frame(&mut self, slot: u32, body: &[u8]) -> FrameOutcome {
-        self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.requests.inc();
+        self.uncommitted_requests += 1;
         let spoken = wire::peek_version(body).unwrap_or(0);
         let (req_id, req) = match wire::decode_request(body) {
             Ok(x) => x,
@@ -767,6 +801,7 @@ impl EventLoop {
             Request::Hello { .. } => unreachable!("handled above"),
             Request::Ping => self.respond(slot, req_id, &Response::Ok(Value::Nil)),
             Request::Introspect => {
+                self.commit_counts();
                 let json = introspect::introspect_doc(&self.shared).render();
                 self.respond(slot, req_id, &Response::Introspect(json));
             }
@@ -935,7 +970,7 @@ impl EventLoop {
     /// marker and no deadline.
     fn serve_admin(&mut self, slot: u32, req_id: u64, target: usize, work: Work) {
         if target == self.index {
-            let resp = self.run_admin(work);
+            let resp = Self::run_admin(&mut self.shard, work);
             self.respond(slot, req_id, &resp);
         } else {
             self.forward(slot, req_id, target, None, None, work);
@@ -943,15 +978,13 @@ impl EventLoop {
     }
 
     /// Executes a cluster-plane transfer op against this loop's shard.
-    fn run_admin(&mut self, work: Work) -> Response {
+    fn run_admin(shard: &mut ShardState, work: Work) -> Response {
         match work {
-            Work::ExportObject { obj } => self.shard.export_object(obj),
-            Work::InstallObject { obj, state } => self.shard.install_object(obj, &state),
-            Work::ExportSession { session } => self.shard.export_session(session),
-            Work::InstallSession { session, k, state } => {
-                self.shard.install_session(session, k, &state)
-            }
-            // Apply/OpenElection/Elect never reach here: `drain_xq`
+            Work::ExportObject { obj } => shard.export_object(obj),
+            Work::InstallObject { obj, state } => shard.install_object(obj, &state),
+            Work::ExportSession { session } => shard.export_session(session),
+            Work::InstallSession { session, k, state } => shard.install_session(session, k, &state),
+            // Apply/OpenElection/Elect never reach here: `serve_xfer`
             // handles them in their own arms.
             _ => Response::Err {
                 code: ErrorCode::BadRequest,
@@ -1089,11 +1122,10 @@ impl EventLoop {
         // op applied before a migration still answers from the reply
         // cache) and before any effect. For the inline path the guard
         // stays held across the apply itself; combined with the
-        // re-check in `drain_xq`, a `DetachRanges` write-locking the
+        // re-check in `serve_xfer`, a `DetachRanges` write-locking the
         // table is a barrier: afterwards, every apply on a detached
         // range has either completed or was refused `WrongShard`.
-        let shared = Arc::clone(&self.shared);
-        let route = shared.route.guard();
+        let route = self.shared.route.guard();
         if let Err(epoch) = route.check(object) {
             drop(route);
             if let Some(token) = sess {
@@ -1136,7 +1168,10 @@ impl EventLoop {
         self.record_apply(trace, t0, object, apply_ns);
         self.probe
             .push_request(wire::OP_APPLY, object, 0, apply_ns, batch);
-        self.settle(sess, req_id, &resp);
+        if let Some(token) = sess {
+            self.shared.sessions.complete(token, req_id, &resp);
+        }
+        drop(route);
         self.respond(slot, req_id, &resp);
     }
 
@@ -1181,25 +1216,28 @@ impl EventLoop {
             return;
         };
         let gen = c.gen;
-        self.shared.inflight.fetch_add(1, Ordering::AcqRel);
-        match self.shared.loops[target].xq.try_push(Xfer {
-            origin: self.index,
-            conn: slot,
-            gen,
-            req_id,
-            queued: Instant::now(),
-            deadline,
-            sess,
-            work,
-        }) {
+        // Counted before the push: the owner may answer at once.
+        self.add_inflight(1);
+        match self.shared.loops[target]
+            .inbox
+            .try_push_work(Msg::Xfer(Xfer {
+                origin: self.index,
+                conn: slot,
+                gen,
+                req_id,
+                queued: Instant::now(),
+                deadline,
+                sess,
+                work,
+            })) {
             Ok(()) => {
                 if let Some(c) = self.conns.get_mut(slot) {
                     c.inflight_remote += 1;
                 }
-                self.pending_wakes[target] = true;
+                self.owed_notify[target] = true;
             }
             Err(RouteError::Busy) => {
-                self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
+                self.add_inflight(-1);
                 if let Some(token) = sess {
                     self.shared.sessions.abort(token, req_id);
                 }
@@ -1215,7 +1253,7 @@ impl EventLoop {
                 );
             }
             Err(RouteError::Closed) => {
-                self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
+                self.add_inflight(-1);
                 if let Some(token) = sess {
                     self.shared.sessions.abort(token, req_id);
                 }
@@ -1252,8 +1290,7 @@ impl EventLoop {
         if newly {
             self.touched.push(slot);
         }
-        self.shared.stats.responses.fetch_add(1, Ordering::Relaxed);
-        self.responses.inc();
+        self.uncommitted_responses += 1;
         if backlog >= FLUSH_HIGH_WATER {
             self.flush_conn(slot);
         }
@@ -1269,7 +1306,28 @@ impl EventLoop {
         }
     }
 
+    /// Adds this loop's request/response counts to the shared totals
+    /// (and their telemetry mirrors). Runs before every flush, so a
+    /// response a client has read is always counted.
+    fn commit_counts(&mut self) {
+        let (req, resp) = (self.uncommitted_requests, self.uncommitted_responses);
+        if req != 0 {
+            self.uncommitted_requests = 0;
+            self.shared.stats.requests.fetch_add(req, Ordering::Relaxed);
+            self.requests.add(req);
+        }
+        if resp != 0 {
+            self.uncommitted_responses = 0;
+            self.shared
+                .stats
+                .responses
+                .fetch_add(resp, Ordering::Relaxed);
+            self.responses.add(resp);
+        }
+    }
+
     fn flush_conn(&mut self, slot: u32) {
+        self.commit_counts();
         let Some(c) = self.conns.get_mut(slot) else {
             return;
         };
@@ -1403,11 +1461,13 @@ impl EventLoop {
 
     // ------------------------------------------------------------ shutdown
 
-    fn send_wakes(&mut self) {
-        for target in 0..self.nloops {
-            if self.pending_wakes[target] {
-                self.pending_wakes[target] = false;
-                self.shared.loops[target].wake();
+    /// Settles the notifies this turn's pushes owe (see
+    /// [`crate::inbox`]): a swap per peer, a pipe write only to a
+    /// parked one.
+    fn notify_peers(&mut self) {
+        for (peer, owed) in self.owed_notify.iter_mut().enumerate() {
+            if std::mem::take(owed) {
+                self.shared.loops[peer].inbox.notify();
             }
         }
     }
@@ -1419,20 +1479,21 @@ impl EventLoop {
         if since.elapsed() >= DRAIN_DEADLINE {
             return true;
         }
-        if self.shared.inflight.load(Ordering::Acquire) != 0 {
-            return false;
-        }
-        if !self.shared.loops[self.index].xq.is_empty() {
-            return false;
-        }
-        if !self.shared.loops[self.index].ctl.lock().unwrap().is_empty() {
+        let inflight: i64 = self
+            .shared
+            .loops
+            .iter()
+            .map(|l| l.inflight.0.load(Ordering::Acquire))
+            .sum();
+        if inflight != 0 || !self.shared.loops[self.index].inbox.is_empty() {
             return false;
         }
         self.conns.iter_mut().all(|(_, c)| c.wpos >= c.wbuf.len())
     }
 
     fn teardown(&mut self) {
-        self.shared.loops[self.index].xq.close();
+        self.commit_counts();
+        self.shared.loops[self.index].inbox.close();
         for slot in self.conns.live_slots() {
             self.close_conn(slot);
         }

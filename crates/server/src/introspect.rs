@@ -68,7 +68,7 @@ pub(crate) struct FlightRecord {
     pub(crate) opcode: u8,
     /// Target object id (or session id for election opcodes).
     pub(crate) object: u64,
-    /// Time spent queued in a cross-shard [`XQueue`](crate::shard::XQueue)
+    /// Time spent queued in a cross-shard [`Inbox`](crate::inbox::Inbox)
     /// (0 for requests applied inline on the arriving loop).
     pub(crate) queue_ns: u64,
     /// Time inside the shard apply/elect.
@@ -410,7 +410,7 @@ pub(crate) fn introspect_doc(shared: &Shared) -> Json {
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            let depth = shared.loops[i].xq.len();
+            let depth = shared.loops[i].inbox.work_len();
             p.lock().unwrap().to_json(i, depth)
         })
         .collect();

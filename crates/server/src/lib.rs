@@ -68,6 +68,7 @@
 
 mod arena;
 mod event_loop;
+mod inbox;
 mod introspect;
 pub mod poll;
 pub mod routing;

@@ -176,7 +176,9 @@ mod sys_affinity {
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
-        // Round up so a 100µs request doesn't busy-spin as 0ms.
+        // Zero is a nonblocking poll and must stay zero.
+        Some(Duration::ZERO) => 0,
+        // Round the rest up so a 100µs request doesn't busy-spin as 0ms.
         Some(d) => i32::try_from(d.as_millis().max(1).min(i32::MAX as u128)).unwrap_or(i32::MAX),
     }
 }
@@ -688,6 +690,17 @@ mod tests {
                 .unwrap();
             assert!(events.iter().all(|e| e.token != 99));
         }
+    }
+
+    #[test]
+    fn timeout_ms_keeps_zero_nonblocking_and_rounds_the_rest_up() {
+        assert_eq!(timeout_ms(None), -1);
+        assert_eq!(timeout_ms(Some(Duration::ZERO)), 0);
+        assert_eq!(timeout_ms(Some(Duration::from_nanos(1))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(100))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_millis(2))), 2);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(2500))), 2);
+        assert_eq!(timeout_ms(Some(Duration::from_secs(u64::MAX))), i32::MAX);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! exiting, bounded by a drain deadline.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -29,7 +29,7 @@ use bso_objects::Layout;
 use bso_telemetry::trace::TraceSink;
 use bso_telemetry::Registry;
 
-use crate::event_loop::{Ctl, EventLoop, LoopHandle, Shared, StatCells};
+use crate::event_loop::{EventLoop, LoopHandle, Msg, Shared, StatCells};
 use crate::introspect::{self, ConfigInfo, IntrospectState};
 use crate::poll::{self, PollBackend, Poller, WakeReader};
 use crate::routing::RouteControl;
@@ -278,7 +278,6 @@ impl ServerBuilder {
         let shared = Arc::new(Shared {
             loops: handles,
             shutdown: AtomicBool::new(false),
-            inflight: AtomicI64::new(0),
             next_session: AtomicU32::new(0),
             sessions: ResumeTable::new(DEFAULT_MAX_SESSIONS, DEFAULT_REPLIES_PER_SESSION),
             route: RouteControl::new(),
@@ -366,7 +365,7 @@ impl ServerHandle {
             let _ = a.join();
         }
         for l in &self.shared.loops {
-            l.wake();
+            l.inbox.notify();
         }
         for l in self.loops.drain(..) {
             let _ = l.join();
@@ -414,8 +413,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, registry: Registry) {
         accepted.inc();
         let target = next % nloops;
         next = next.wrapping_add(1);
-        shared.loops[target].send_ctl(Ctl::NewConn(stream));
-        shared.loops[target].wake();
+        shared.loops[target].inbox.push(Msg::NewConn(stream));
+        shared.loops[target].inbox.notify();
     }
 }
 
@@ -423,10 +422,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, registry: Registry) {
 mod tests {
     use super::*;
     use crate::wire::{self, ErrorCode, Request, Response};
-    use bso_objects::{ObjectId, ObjectInit, Op, Value};
+    use bso_objects::{ObjectId, ObjectInit, Op, OpKind, Value};
     use bso_telemetry::json::Json;
     use std::collections::HashMap;
     use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
 
     fn layout() -> Layout {
         let mut l = Layout::new();
@@ -491,6 +491,48 @@ mod tests {
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.responses, 3);
         assert_eq!(stats.malformed, 0);
+    }
+
+    #[test]
+    fn work_queued_while_every_loop_is_parked_is_served_within_a_bound() {
+        let handle = Server::builder()
+            .shards(2)
+            .pin_cores(false)
+            .bind("127.0.0.1:0", &layout())
+            .unwrap();
+        for round in 0..20u64 {
+            // Let both loops go idle: each parks before its wait, so
+            // the acceptor's `NewConn` (and, on loop 1, the cross-shard
+            // apply to object 2 and its reply) land on parked loops.
+            let idle_by = Instant::now() + Duration::from_secs(10);
+            while !handle.shared.loops.iter().all(|l| l.inbox.is_parked()) {
+                assert!(Instant::now() < idle_by, "loops never parked");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut c = TcpStream::connect(handle.local_addr()).unwrap();
+            c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            send(&mut c, 1, &Request::Ping);
+            send(
+                &mut c,
+                2,
+                &Request::Apply {
+                    pid: 0,
+                    op: Op::new(ObjectId(2), OpKind::FetchAdd(1)),
+                },
+            );
+            // A lost wakeup leaves the socket unregistered: the read
+            // times out and `recv` fails instead of the test hanging.
+            assert_eq!(recv(&mut c), (1, Response::Ok(Value::Nil)), "round {round}");
+            assert_eq!(
+                recv(&mut c),
+                (2, Response::Ok(Value::Int(round as i64))),
+                "round {round}"
+            );
+        }
+        let stats = handle.shutdown();
+        assert_eq!(stats.connections, 20);
+        assert_eq!(stats.requests, 40);
+        assert_eq!(stats.responses, 40);
     }
 
     #[test]
@@ -774,7 +816,7 @@ mod tests {
         recv(&mut c);
         let add = Request::Apply {
             pid: 0,
-            op: Op::new(ObjectId(2), bso_objects::OpKind::FetchAdd(1)),
+            op: Op::new(ObjectId(2), OpKind::FetchAdd(1)),
         };
         send(&mut c, 2, &add);
         recv(&mut c);

@@ -1,14 +1,15 @@
-//! Per-loop shard state and the bounded cross-loop queue.
+//! Per-loop shard state.
 //!
 //! Objects are partitioned across event loops by id (`ObjectId(i)`
 //! lives on loop `i mod nshards`), and each loop owns its
 //! [`ShardState`] outright — there is no locking around an object,
 //! ever. A request arriving on the loop that owns its object is
 //! applied inline (the fast path); a request for another loop's object
-//! crosses exactly one bounded [`XQueue`]. Routing never blocks: a
-//! full queue is answered with a typed [`ErrorCode::Busy`] response
-//! instead of stalling the event loop — backpressure is the client's
-//! problem to retry, not the server's to absorb.
+//! crosses exactly one bounded [`Inbox`](crate::inbox::Inbox). Routing
+//! never blocks: a full inbox is answered with a typed
+//! [`ErrorCode::Busy`] response instead of stalling the event loop —
+//! backpressure is the client's problem to retry, not the server's to
+//! absorb.
 //!
 //! Because one loop owns each object outright, operations on it are
 //! trivially linearizable: the linearization point is the loop's
@@ -24,15 +25,13 @@
 //! to its decision, so the service and the simulator run the very same
 //! election code.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::collections::HashMap;
 
 use bso_objects::spec::ObjectState;
 use bso_objects::{Layout, Op, Value};
 use bso_protocols::CasOnlyElection;
 use bso_sim::{Action, Protocol};
-use bso_telemetry::{Counter, Gauge, Histogram, Registry};
+use bso_telemetry::{Counter, Histogram, Registry};
 
 use crate::wire::{ErrorCode, Response};
 
@@ -272,82 +271,6 @@ fn run_participant(s: &mut ElectionSession, pid: usize) -> Result<Value, String>
     }
 }
 
-/// Why a message could not be enqueued on an [`XQueue`].
-pub(crate) enum RouteError {
-    /// The queue is at capacity.
-    Busy,
-    /// The owning loop has exited.
-    Closed,
-}
-
-/// The **bounded** cross-loop work queue in front of each event loop.
-///
-/// [`XQueue::try_push`] is the only way in; it either enqueues or
-/// reports why not ([`RouteError::Busy`] / [`RouteError::Closed`]).
-/// Depth is exported as the loop's `server.shard<i>.queue_depth`
-/// gauge. The owning loop drains with [`XQueue::drain_into`], which
-/// takes everything queued in one lock acquisition — pushers never
-/// hold the lock across anything slower than a `VecDeque::push_back`.
-pub(crate) struct XQueue<T> {
-    q: Mutex<VecDeque<T>>,
-    capacity: usize,
-    closed: AtomicBool,
-    depth: Gauge,
-}
-
-impl<T> XQueue<T> {
-    /// A queue of at most `capacity` entries, reporting its depth
-    /// through `depth`.
-    pub(crate) fn new(capacity: usize, depth: Gauge) -> XQueue<T> {
-        XQueue {
-            q: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            closed: AtomicBool::new(false),
-            depth,
-        }
-    }
-
-    /// Enqueues without blocking, or says why not. The caller turns
-    /// [`RouteError::Busy`] into a typed wire response — the request
-    /// was *not* enqueued.
-    pub(crate) fn try_push(&self, item: T) -> Result<(), RouteError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(RouteError::Closed);
-        }
-        let mut q = self.q.lock().unwrap();
-        if q.len() >= self.capacity {
-            return Err(RouteError::Busy);
-        }
-        q.push_back(item);
-        self.depth.set(q.len() as u64);
-        Ok(())
-    }
-
-    /// Moves everything queued into `out` (appending), in FIFO order.
-    pub(crate) fn drain_into(&self, out: &mut Vec<T>) {
-        let mut q = self.q.lock().unwrap();
-        out.extend(q.drain(..));
-        self.depth.set(0);
-    }
-
-    /// Marks the queue closed: subsequent pushes fail with
-    /// [`RouteError::Closed`]. Already-queued items stay drainable.
-    pub(crate) fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-    }
-
-    /// Whether nothing is queued right now.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.q.lock().unwrap().is_empty()
-    }
-
-    /// How many entries are queued right now (an instantaneous depth
-    /// reading for `Introspect` scrapes).
-    pub(crate) fn len(&self) -> usize {
-        self.q.lock().unwrap().len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,29 +420,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn full_queue_reports_busy_without_blocking() {
-        let q: XQueue<u64> = XQueue::new(2, Registry::disabled().gauge("test.q"));
-        assert!(q.try_push(0).is_ok());
-        assert!(q.try_push(1).is_ok());
-        assert!(matches!(q.try_push(2), Err(RouteError::Busy)));
-        let mut out = Vec::new();
-        q.drain_into(&mut out);
-        assert_eq!(out, vec![0, 1], "FIFO, rejected push not enqueued");
-        assert!(q.is_empty());
-        assert!(q.try_push(3).is_ok(), "drained queue accepts again");
-    }
-
-    #[test]
-    fn closed_queue_reports_closed_but_stays_drainable() {
-        let q: XQueue<u64> = XQueue::new(4, Registry::disabled().gauge("test.q"));
-        assert!(q.try_push(0).is_ok());
-        q.close();
-        assert!(matches!(q.try_push(1), Err(RouteError::Closed)));
-        let mut out = Vec::new();
-        q.drain_into(&mut out);
-        assert_eq!(out, vec![0], "pre-close item survives for draining");
     }
 }
