@@ -26,6 +26,12 @@
 //!   the protocol is not wait-free. Conversely a cycle keeps its nodes
 //!   incomplete forever, so quiescence-with-incomplete-root occurs
 //!   *iff* the graph is cyclic — the check is sound and complete.
+//! * **Deterministic counterexamples**: workers race, so the first
+//!   violation a parallel pass hits depends on timing. After a pass
+//!   that more than one worker helped with, [`serial_counterexample`]
+//!   replays the serial depth-first order on the calling thread,
+//!   skipping every state the pass completed, and reports the serial
+//!   run's counterexample.
 //! * Counterexample schedules come from first-discovery parent links:
 //!   each node remembers the concrete edge that created it, so the
 //!   path to any node is a genuine executable schedule even under
@@ -479,9 +485,26 @@ where
     backtrack_points: AtomicUsize,
     frontier: AtomicUsize,
     peak_frontier: AtomicUsize,
+    /// Workers that expanded at least one job. A run with one expander
+    /// took exactly the serial run's steps (that worker's queue
+    /// discipline is the serial one, and no other worker touched the
+    /// table).
+    expanders: AtomicUsize,
+    /// States visited by the serial-order replay of this run's
+    /// counterexample (parallel runs only).
+    replay_states: AtomicUsize,
     violation: Mutex<Option<Violation>>,
+    /// Set only on a serial-order replay (see [`serial_counterexample`]):
+    /// whether the parallel pass before it *settled* a state (by its
+    /// canonical form and fingerprint), i.e. completed it and everything
+    /// reachable from it without a violation. The replay skips such
+    /// states.
+    settled: Option<&'p Settled<'p, P::State>>,
     tel: EngineTel,
 }
+
+/// The settled-state oracle a serial-order replay consults.
+type Settled<'a, S> = dyn Fn(&StateKey<S>, u64) -> bool + Sync + 'a;
 
 impl<'p, P, C, KM> Shared<'p, P, C, KM>
 where
@@ -542,7 +565,10 @@ where
             backtrack_points: AtomicUsize::new(0),
             frontier: AtomicUsize::new(0),
             peak_frontier: AtomicUsize::new(0),
+            expanders: AtomicUsize::new(0),
+            replay_states: AtomicUsize::new(0),
             violation: Mutex::new(None),
+            settled: None,
             tel: EngineTel::new(config, workers),
         }
     }
@@ -571,7 +597,9 @@ where
 
     /// Records a violation, keeping the lexicographically smallest
     /// schedule (then crash list) if several workers report one, and
-    /// halts exploration.
+    /// halts exploration. Which violations the workers reach depends on
+    /// timing; [`serial_counterexample`] then settles which one a
+    /// parallel run reports.
     fn record_violation(&self, v: Violation) {
         let mut slot = plock(&self.violation);
         let replace = match slot.as_ref() {
@@ -775,13 +803,15 @@ where
     fn worker(&self, idx: usize) {
         let tw = self.trace_worker(idx);
         let mut scratch = vec![0u32; self.n];
+        let mut expanded = false;
         loop {
             self.check_deadline();
             if self.stop.load(Ordering::Relaxed) {
-                return;
+                break;
             }
             match self.pop_job(idx, &tw) {
                 Some(job) => {
+                    expanded = true;
                     let node = job.node.clone();
                     let result = catch_unwind(AssertUnwindSafe(|| {
                         self.expand(idx, job, &mut scratch, &tw)
@@ -795,13 +825,13 @@ where
                 }
                 None => {
                     if self.outstanding.load(Ordering::SeqCst) == 0 {
-                        return;
+                        break;
                     }
                     let guard = plock(&self.park);
                     if self.outstanding.load(Ordering::SeqCst) == 0
                         || self.stop.load(Ordering::Relaxed)
                     {
-                        return;
+                        break;
                     }
                     let _ = self
                         .wakeup
@@ -809,6 +839,9 @@ where
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             }
+        }
+        if expanded {
+            self.expanders.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1033,6 +1066,14 @@ where
             } else {
                 Recorded::HitIncomplete
             });
+        }
+        // A replay never enters a settled state: no violation is
+        // reachable from it, so the serial search would find none there.
+        if self
+            .settled
+            .is_some_and(|settled| settled(canon_state, canon_fp))
+        {
+            return Ok(Recorded::HitDone);
         }
         let count = self.states.fetch_add(1, Ordering::Relaxed) + 1;
         if count > self.state_cap {
@@ -1444,6 +1485,18 @@ where
         }
     }
 
+    /// Whether the canonical state `state` (fingerprint `fp`) is a
+    /// completed node: expanded, and everything reachable from it too,
+    /// without a violation.
+    fn is_settled(&self, state: &StateKey<P::State>, fp: u64) -> bool {
+        let shard_idx = (fp >> 58) as usize % SHARDS;
+        let hit = plock(&self.shards[shard_idx])
+            .get(&fp)
+            .and_then(|e| KM::find(e, state))
+            .cloned();
+        hit.is_some_and(|node| plock(&node.inner).done)
+    }
+
     /// Every generated-but-unexpanded node: the queued jobs plus any
     /// whose expansion a stop signal cut short. Drains the queues.
     fn frontier_nodes(&self) -> Vec<Arc<Node>> {
@@ -1664,6 +1717,7 @@ where
             crash_branches: self.crash_branches.load(Ordering::Relaxed),
             dpor_sleep_prunes: self.sleep_prunes.load(Ordering::Relaxed),
             dpor_backtrack_points: self.backtrack_points.load(Ordering::Relaxed),
+            replay_states: self.replay_states.load(Ordering::Relaxed),
         };
         let terminals = self.terminals.load(Ordering::Relaxed);
         let deepest = self.deepest.load(Ordering::Relaxed);
@@ -1779,16 +1833,81 @@ where
     debug_assert!(workers >= 2);
     let started = Instant::now();
     let shared: Shared<'_, P, C, KM> = Shared::new(proto, config, canon, workers);
+    let replay_seeds = seeds.clone();
     let roots = shared.seed(seeds);
     if !roots.is_empty() && !shared.stop.load(Ordering::Relaxed) {
+        // Worker 0 runs on the calling thread: it starts at once, and a
+        // search small enough to finish before the others are up costs
+        // no more than a serial one.
         std::thread::scope(|s| {
-            for idx in 0..workers {
+            for idx in 1..workers {
                 let shared = &shared;
                 s.spawn(move || shared.worker(idx));
             }
+            shared.worker(0);
         });
     }
+    if shared.expanders.load(Ordering::Relaxed) > 1 && plock(&shared.violation).is_some() {
+        if let Some(v) = serial_counterexample(&shared, replay_seeds) {
+            *plock(&shared.violation) = Some(v);
+        }
+    }
     shared.report(&roots, started, workers)
+}
+
+/// The counterexample a serial run of `parallel`'s search reports,
+/// found by replaying the serial search after the parallel pass.
+///
+/// Parallel workers race, so the violation they hit first, and with it
+/// its kind and schedule, depends on timing. A serial run reports the
+/// first violation of its depth-first order. The replay runs that
+/// serial search on the calling thread, but it skips every state the
+/// parallel pass *settled*. A settled node is complete: it and every
+/// state reachable from it were expanded without a violation, and its
+/// successors are settled too. So a serial search finds no violation
+/// inside a settled region, and it discovers every unsettled state from
+/// an unsettled parent. Leaving the settled states out therefore keeps
+/// the order of the unsettled expansions, and the replay ends at the
+/// serial run's counterexample, schedule and all.
+///
+/// That argument needs a node's subtree to be independent of the path
+/// that reached it. DPOR sleep sets and context-switch counts are not,
+/// so under either the replay settles nothing and repeats the whole
+/// serial search. Returns `None` (keep the parallel counterexample)
+/// when the replay runs out of time or states first.
+fn serial_counterexample<P, C, KM>(
+    parallel: &Shared<'_, P, C, KM>,
+    seeds: Seeds<P::State>,
+) -> Option<Violation>
+where
+    P: Protocol + Sync,
+    P::State: Clone + Hash + Eq + Send,
+    C: Canonicalizer<P> + Sync,
+    KM: KeyMode<P::State>,
+    KM::Entry: Send,
+{
+    let quiet = ExploreConfig {
+        telemetry: bso_telemetry::Registry::disabled(),
+        trace: bso_telemetry::TraceSink::disabled(),
+        ..parallel.config.clone()
+    };
+    let settled = |state: &StateKey<P::State>, fp: u64| parallel.is_settled(state, fp);
+    let mut replay: Shared<'_, P, &C, KM> = Shared::new(parallel.proto, &quiet, &parallel.canon, 1);
+    replay.deadline = parallel.deadline;
+    if !parallel.dpor && parallel.context_bound.is_none() {
+        replay.settled = Some(&settled);
+    }
+    let roots = replay.seed(seeds);
+    if !roots.is_empty() && !replay.stop.load(Ordering::Relaxed) {
+        replay.worker(0);
+    }
+    parallel
+        .replay_states
+        .store(replay.states.load(Ordering::Relaxed), Ordering::Relaxed);
+    replay
+        .violation
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Dispatches on [`DedupMode`] for the serial engine.

@@ -51,8 +51,9 @@
 //! ```
 //!
 //! * `.parallel(true)` — a work-stealing worker pool
-//!   ([`ExploreConfig::workers`]); the default is single-threaded and
-//!   fully deterministic.
+//!   ([`ExploreConfig::workers`]); the default is single-threaded. Both
+//!   are deterministic: a parallel run reports the serial run's
+//!   verdict and counterexample.
 //! * `.symmetric(true)` — quotient the state space by the protocol's
 //!   process-symmetry group
 //!   ([`crate::symmetry::SymmetricProtocol`]), visiting one
@@ -359,6 +360,10 @@ pub struct ExploreStats {
     /// DPOR backtrack points: sleep-shrink re-expansions plus cycle-
     /// proviso escalations (0 outside DPOR mode).
     pub dpor_backtrack_points: usize,
+    /// States the serial-order replay of a parallel run's
+    /// counterexample visited: the price of reporting exactly the
+    /// counterexample a serial run would (0 when no replay ran).
+    pub replay_states: usize,
 }
 
 impl ExploreStats {
@@ -387,6 +392,9 @@ impl ExploreStats {
         registry
             .counter("explore.dpor.backtrack_points")
             .add(self.dpor_backtrack_points as u64);
+        registry
+            .counter("explore.replay_states")
+            .add(self.replay_states as u64);
         registry.gauge("explore.workers").max(self.workers as u64);
         registry
             .gauge("explore.peak_frontier")
@@ -916,10 +924,11 @@ impl<'p, P: Protocol> Explorer<'p, P> {
     }
 
     /// Toggles the work-stealing worker pool. Verdicts agree with the
-    /// serial mode; with several workers the *choice* of
-    /// counterexample among equally valid ones may differ (the engine
-    /// keeps the lexicographically smallest schedule discovered before
-    /// exploration halted).
+    /// serial mode, and so does the counterexample: when workers race
+    /// to violations, the engine replays the serial search order and
+    /// reports the serial run's counterexample, schedule included. A
+    /// cycle (`NotWaitFree`) is the exception: it is found only once
+    /// the whole space is explored, and its schedule may differ.
     ///
     /// This setter (not [`run`](Explorer::run)) carries the
     /// thread-safety bounds, so purely serial exploration remains

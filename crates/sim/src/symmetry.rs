@@ -142,6 +142,14 @@ pub(crate) trait Canonicalizer<P: Protocol> {
     fn canonicalize(&self, key: &StateKey<P::State>) -> Canonical<P::State>;
 }
 
+/// A borrowed canonicalizer: lets a second engine pass over the same
+/// run share the first pass's canonicalizer.
+impl<P: Protocol, C: Canonicalizer<P>> Canonicalizer<P> for &C {
+    fn canonicalize(&self, key: &StateKey<P::State>) -> Canonical<P::State> {
+        (**self).canonicalize(key)
+    }
+}
+
 /// The trivial canonicalizer: every state is its own representative.
 pub(crate) struct NoCanon;
 

@@ -15,8 +15,10 @@
 
 use bso_objects::rng::SplitMix64;
 use bso_objects::{Layout, ObjectId, ObjectInit, Op, OpKind, Value};
+use bso_protocols::{CasOnlyElection, LabelElection};
 use bso_sim::{
-    Action, DedupMode, ExploreOutcome, Explorer, Pid, Protocol, Simulation, TaskSpec, ViolationKind,
+    Action, DedupMode, ExploreOutcome, Explorer, Pid, Protocol, ProtocolExt, Simulation, TaskSpec,
+    ViolationKind,
 };
 
 /// One straight-line-with-loop-backs instruction of a random program.
@@ -255,4 +257,117 @@ fn exact_and_fingerprint_agree_on_state_counts_when_verified() {
         verified >= 5,
         "only {verified} verified cases — weak sample"
     );
+}
+
+#[test]
+fn parallel_runs_report_the_serial_counterexample() {
+    // Parallel workers race to the first violation; the engine replays
+    // the serial order afterwards, so a parallel run must report the
+    // serial run's counterexample itself — kind, schedule, crashes and
+    // description — in every mode, whichever worker got there first.
+    // Cycles (`NotWaitFree`) are found at quiescence, so only their
+    // kind is compared.
+    type Mode = fn(Explorer<'_, RandomProtocol>) -> Explorer<'_, RandomProtocol>;
+    let modes: [(&str, Mode); 5] = [
+        ("plain", |e| e),
+        ("faults", |e| e.faults(1)),
+        ("step bound", |e| e.step_bound(3)),
+        ("dpor", |e| e.dpor(true)),
+        ("context bound", |e| e.context_bound(2)),
+    ];
+    let mut rng = SplitMix64::new(0xDE7E_4A11);
+    let mut compared = 0usize;
+    for case in 0..60 {
+        let n = rng.range_usize(2, 4);
+        let inputs: Vec<Value> = (0..n)
+            .map(|_| Value::Int(10 + rng.usize_below(2) as i64))
+            .collect();
+        let proto = arb_protocol(&mut rng, &inputs);
+        for (name, mode) in modes {
+            for dedup in [DedupMode::Exact, DedupMode::Fingerprint] {
+                let base = mode(
+                    Explorer::new(&proto)
+                        .inputs(&inputs)
+                        .spec(TaskSpec::Consensus(inputs.clone())),
+                )
+                .dedup(dedup);
+                let serial = base.clone().run();
+                for _ in 0..3 {
+                    let par = base.clone().parallel(true).workers(3).run();
+                    assert_eq!(
+                        kind_of(&serial.outcome),
+                        kind_of(&par.outcome),
+                        "case {case} ({name}, {dedup:?}): verdicts diverged: {proto:?}"
+                    );
+                    match serial.outcome.violation() {
+                        Some(v) if v.kind != ViolationKind::NotWaitFree => {
+                            assert_eq!(
+                                Some(v),
+                                par.outcome.violation(),
+                                "case {case} ({name}, {dedup:?}): counterexamples diverged: \
+                                 {proto:?}"
+                            );
+                            compared += 1;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        compared >= 300,
+        "only {compared} counterexamples compared — weak sample"
+    );
+}
+
+#[test]
+fn catalog_refutations_report_the_serial_counterexample_in_parallel() {
+    // Deeper searches than the random sweep, where the workers have
+    // more room to race, under symmetry reduction too.
+    let label = LabelElection::new(3, 5).unwrap();
+    let deep = Explorer::new(&label)
+        .inputs(&label.pid_inputs())
+        .spec(TaskSpec::Election)
+        .step_bound(27);
+    let serial = deep.clone().run();
+    assert_eq!(kind_of(&serial.outcome), Some(&ViolationKind::StepBound));
+    for _ in 0..3 {
+        let par = deep.clone().parallel(true).workers(3).run();
+        assert_eq!(
+            serial.outcome.violation(),
+            par.outcome.violation(),
+            "label(3,5)"
+        );
+    }
+    for k in 3..=5 {
+        let cas = CasOnlyElection::new(k - 1, k).unwrap();
+        let base = Explorer::new(&cas)
+            .inputs(&cas.pid_inputs())
+            .spec(TaskSpec::Election);
+        let wrong = TaskSpec::Consensus(vec![Value::Int(7); k - 1]);
+        for (name, ex) in [
+            ("step bound", base.clone().step_bound(1)),
+            ("wrong spec", base.clone().spec(wrong.clone())),
+            (
+                "symmetric step bound",
+                base.clone().symmetric(true).step_bound(1),
+            ),
+            (
+                "symmetric wrong spec",
+                base.clone().symmetric(true).spec(wrong),
+            ),
+        ] {
+            let serial = ex.clone().run();
+            assert!(serial.outcome.violation().is_some(), "k={k} {name}");
+            for _ in 0..5 {
+                let par = ex.clone().parallel(true).workers(3).run();
+                assert_eq!(
+                    serial.outcome.violation(),
+                    par.outcome.violation(),
+                    "k={k} {name}"
+                );
+            }
+        }
+    }
 }
