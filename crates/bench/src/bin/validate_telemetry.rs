@@ -727,7 +727,7 @@ fn validate_introspect() -> Result<String, String> {
         if entry.get("shard").and_then(Json::as_u64) != Some(i as u64) {
             return Err(format!("introspect: shard entry {i} misnumbered"));
         }
-        for key in ["conns", "queue_depth", "wakeups"] {
+        for key in ["borrowed", "conns", "forwarded", "queue_depth", "wakeups"] {
             if entry.get(key).and_then(Json::as_u64).is_none() {
                 return Err(format!("introspect: shard {i} lacks integer {key:?}"));
             }

@@ -34,7 +34,7 @@
 //! [`SplitMix64`]-seeded jitter, so a chaos run's retry schedule is as
 //! replayable as its fault schedule.
 
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,7 +43,7 @@ use std::time::Duration;
 use bso_objects::rng::SplitMix64;
 use bso_objects::{Op, Value};
 use bso_server::wire;
-use bso_server::{Request, Response};
+use bso_server::{Request, Response, WireError};
 use bso_sim::RecordedOp;
 
 use crate::{ClientError, HistoryRecorder};
@@ -67,6 +67,10 @@ pub(crate) fn alloc_tokens(n: u64) -> u64 {
 /// synchronously, so reusing them on every reconnect is safe.
 const HELLO_REQ_ID: u64 = u64::MAX;
 const RESUME_REQ_ID: u64 = u64::MAX - 1;
+
+/// Initial size of a connection's read buffer; it grows (doubling) for
+/// larger responses and lives as long as the connection.
+const READ_CHUNK: usize = 4096;
 
 /// How hard a [`ResilientClient`] fights for each operation.
 #[derive(Clone, Debug)]
@@ -167,7 +171,8 @@ impl ResilientBuilder {
             policy: self.policy,
             rng: SplitMix64::new(self.seed.unwrap_or(token)),
             recorder: self.recorder,
-            stream: None,
+            link: None,
+            frame: Vec::new(),
             next_req_id: 1,
             last_acked: 0,
             connects: 0,
@@ -187,7 +192,11 @@ pub struct ResilientClient {
     policy: RetryPolicy,
     rng: SplitMix64,
     recorder: Option<Arc<HistoryRecorder>>,
-    stream: Option<TcpStream>,
+    /// The live connection, if any. Dropping it (to reconnect) drops
+    /// its read buffer too, so no stale bytes outlive their socket.
+    link: Option<Link>,
+    /// Encode buffer, reused by every operation.
+    frame: Vec<u8>,
     /// Next operation `req_id`; monotonic across reconnects — the
     /// server's reply cache is keyed by it.
     next_req_id: u64,
@@ -255,7 +264,7 @@ impl ResilientClient {
         }
         if addrs != self.addrs {
             self.addrs = addrs;
-            self.stream = None;
+            self.link = None;
             self.redirects += 1;
         }
         Ok(())
@@ -268,31 +277,20 @@ impl ResilientClient {
     /// [`ClientError::Server`] when attempts run out or the refusal is
     /// terminal; [`ClientError::Io`] when the wire stays broken.
     pub fn apply(&mut self, pid: usize, op: Op) -> Result<Value, ClientError> {
-        let req = Request::Apply {
-            pid: pid as u32,
-            op: op.clone(),
-        };
+        self.apply_ref(pid, &op)
+    }
+
+    /// [`ResilientClient::apply`] for a borrowed `op`: a caller that
+    /// may re-issue the op elsewhere (after a redirect) keeps it
+    /// without cloning it per attempt.
+    ///
+    /// # Errors
+    ///
+    /// As [`ResilientClient::apply`].
+    pub fn apply_ref(&mut self, pid: usize, op: &Op) -> Result<Value, ClientError> {
         let invoked_at = self.recorder.as_deref().map(HistoryRecorder::tick);
-        let v = match self.call(&req)? {
-            Response::Ok(v) => v,
-            Response::Err { code, message } => return Err(ClientError::Server { code, message }),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "non-value response to an apply: {other:?}"
-                )))
-            }
-        };
-        if let Some(rec) = &self.recorder {
-            let responded_at = rec.tick();
-            rec.record(RecordedOp {
-                pid,
-                op,
-                resp: v.clone(),
-                invoked_at: invoked_at.unwrap_or(0),
-                responded_at,
-            });
-        }
-        Ok(v)
+        let resp = self.call(|id, out| wire::encode_apply(id, pid as u32, op, out))?;
+        self.settle_apply(pid, op, invoked_at, resp, "an apply")
     }
 
     /// Applies `op` with a per-attempt freshness budget: the server
@@ -317,12 +315,26 @@ impl ResilientClient {
             op: op.clone(),
         };
         let invoked_at = self.recorder.as_deref().map(HistoryRecorder::tick);
-        let v = match self.call(&req)? {
+        let resp = self.request(&req)?;
+        self.settle_apply(pid, &op, invoked_at, resp, "a deadline apply")
+    }
+
+    /// Turns an apply's final response into its value, logging a
+    /// success with the recorder (if any).
+    fn settle_apply(
+        &self,
+        pid: usize,
+        op: &Op,
+        invoked_at: Option<u64>,
+        resp: Response,
+        what: &str,
+    ) -> Result<Value, ClientError> {
+        let v = match resp {
             Response::Ok(v) => v,
             Response::Err { code, message } => return Err(ClientError::Server { code, message }),
             other => {
                 return Err(ClientError::Protocol(format!(
-                    "non-value response to a deadline apply: {other:?}"
+                    "non-value response to {what}: {other:?}"
                 )))
             }
         };
@@ -330,7 +342,7 @@ impl ResilientClient {
             let responded_at = rec.tick();
             rec.record(RecordedOp {
                 pid,
-                op,
+                op: op.clone(),
                 resp: v.clone(),
                 invoked_at: invoked_at.unwrap_or(0),
                 responded_at,
@@ -348,7 +360,7 @@ impl ResilientClient {
     ///
     /// Same classes as [`ResilientClient::apply`].
     pub fn open_election(&mut self, k: u32) -> Result<u32, ClientError> {
-        match self.call(&Request::OpenElection { k })? {
+        match self.request(&Request::OpenElection { k })? {
             Response::Session(s) => Ok(s),
             Response::Err { code, message } => Err(ClientError::Server { code, message }),
             other => Err(ClientError::Protocol(format!(
@@ -364,7 +376,7 @@ impl ResilientClient {
     ///
     /// Same classes as [`ResilientClient::apply`].
     pub fn elect(&mut self, session: u32, pid: u32) -> Result<usize, ClientError> {
-        match self.call(&Request::Elect { session, pid })? {
+        match self.request(&Request::Elect { session, pid })? {
             Response::Ok(Value::Pid(winner)) => Ok(winner),
             Response::Ok(v) => Err(ClientError::Protocol(format!(
                 "election decided a non-pid value {v}"
@@ -382,7 +394,7 @@ impl ResilientClient {
     ///
     /// Same classes as [`ResilientClient::apply`].
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Ping)? {
+        match self.request(&Request::Ping)? {
             Response::Ok(_) => Ok(()),
             Response::Err { code, message } => Err(ClientError::Server { code, message }),
             other => Err(ClientError::Protocol(format!(
@@ -397,7 +409,7 @@ impl ResilientClient {
     ///
     /// Same classes as [`ResilientClient::apply`].
     pub fn introspect(&mut self) -> Result<String, ClientError> {
-        match self.call(&Request::Introspect)? {
+        match self.request(&Request::Introspect)? {
             Response::Introspect(json) => Ok(json),
             Response::Err { code, message } => Err(ClientError::Server { code, message }),
             other => Err(ClientError::Protocol(format!(
@@ -406,18 +418,36 @@ impl ResilientClient {
         }
     }
 
-    /// One operation, end to end: allocate a `req_id`, then attempt
-    /// until a terminal response lands or the policy gives up. The
-    /// `req_id` is *fixed across every retry* — that is what lets the
-    /// server distinguish "same op again, replay it" from new work.
-    fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
+    /// [`ResilientClient::call`] for a request built by value.
+    fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
+        self.call(|id, out| wire::encode_request(id, req, out))
+    }
+
+    /// One operation, end to end: allocate a `req_id`, encode the
+    /// request under it, then attempt until a terminal response lands
+    /// or the policy gives up. The `req_id` is *fixed across every
+    /// retry* — that is what lets the server distinguish "same op
+    /// again, replay it" from new work.
+    fn call(
+        &mut self,
+        encode: impl FnOnce(u64, &mut Vec<u8>) -> Result<(), WireError>,
+    ) -> Result<Response, ClientError> {
         let req_id = self.next_req_id;
-        let mut frame = Vec::new();
-        wire::encode_request(req_id, req, &mut frame)?;
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        let out = match encode(req_id, &mut frame) {
+            Ok(()) => self.attempts(req_id, &frame),
+            Err(e) => Err(e.into()),
+        };
+        self.frame = frame;
+        out
+    }
+
+    fn attempts(&mut self, req_id: u64, frame: &[u8]) -> Result<Response, ClientError> {
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
-            let out = self.attempt(req_id, &frame);
+            let out = self.attempt(req_id, frame);
             let exhausted = attempt >= self.policy.max_attempts;
             match out {
                 Ok(Response::Err { code, .. }) if code.retry_in_place() && !exhausted => {
@@ -426,7 +456,7 @@ impl ResilientClient {
                 }
                 Ok(Response::Err { code, .. }) if code.retry_after_reconnect() && !exhausted => {
                     self.retries += 1;
-                    self.stream = None;
+                    self.link = None;
                     self.backoff(attempt);
                 }
                 Ok(resp) => {
@@ -436,7 +466,7 @@ impl ResilientClient {
                 }
                 Err(e) if !exhausted && reconnect_worthy(&e) => {
                     self.retries += 1;
-                    self.stream = None;
+                    self.link = None;
                     self.backoff(attempt);
                 }
                 Err(e) => return Err(e),
@@ -448,16 +478,9 @@ impl ResilientClient {
     /// read the matching response.
     fn attempt(&mut self, req_id: u64, frame: &[u8]) -> Result<Response, ClientError> {
         self.ensure_connected()?;
-        let stream = self.stream.as_mut().expect("connected above");
-        stream.write_all(frame)?;
-        let mut buf = Vec::new();
-        if !wire::read_frame(stream, &mut buf)? {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection mid-operation",
-            )));
-        }
-        let (id, resp) = wire::decode_response_current(&buf)?;
+        let link = self.link.as_mut().expect("connected above");
+        link.stream.write_all(frame)?;
+        let (id, resp) = link.recv("server closed the connection mid-operation")?;
         if id != req_id {
             return Err(ClientError::Protocol(format!(
                 "response for req_id {id}, expected {req_id}"
@@ -468,7 +491,7 @@ impl ResilientClient {
 
     /// Connect, `Hello`, `Resume` — idempotent when already connected.
     fn ensure_connected(&mut self) -> Result<(), ClientError> {
-        if self.stream.is_some() {
+        if self.link.is_some() {
             return Ok(());
         }
         let mut last_err: Option<std::io::Error> = None;
@@ -492,84 +515,51 @@ impl ResilientClient {
         };
         stream.set_nodelay(true)?;
         stream.set_read_timeout(self.policy.read_timeout)?;
-        self.stream = Some(stream);
         if self.connects > 0 {
             self.reconnects += 1;
         }
         self.connects += 1;
         // Handshake, then bind the session. A failure drops the socket
         // so the next attempt starts clean.
-        let hello = self.roundtrip(
-            HELLO_REQ_ID,
-            &Request::Hello {
-                version: wire::VERSION,
-            },
-        );
-        match hello {
-            Ok(Response::Hello { version }) if version == wire::VERSION => {}
-            Ok(Response::Err { code, message }) => {
-                self.stream = None;
-                return Err(ClientError::Server { code, message });
-            }
-            Ok(other) => {
-                self.stream = None;
+        let mut link = Link {
+            stream,
+            rbuf: vec![0; READ_CHUNK],
+            rlen: 0,
+        };
+        let out = self.handshake(&mut link);
+        if out.is_ok() {
+            self.link = Some(link);
+        }
+        out
+    }
+
+    fn handshake(&mut self, link: &mut Link) -> Result<(), ClientError> {
+        let hello = Request::Hello {
+            version: wire::VERSION,
+        };
+        match link.roundtrip(HELLO_REQ_ID, &hello)? {
+            Response::Hello { version } if version == wire::VERSION => {}
+            Response::Err { code, message } => return Err(ClientError::Server { code, message }),
+            other => {
                 return Err(ClientError::Protocol(format!(
                     "non-hello response to a hello: {other:?}"
-                )));
-            }
-            Err(e) => {
-                self.stream = None;
-                return Err(e);
+                )))
             }
         }
-        let resume = self.roundtrip(
-            RESUME_REQ_ID,
-            &Request::Resume {
-                token: self.token,
-                last_acked: self.last_acked,
-            },
-        );
-        match resume {
-            Ok(Response::Resumed { token, cached }) if token == self.token => {
+        let resume = Request::Resume {
+            token: self.token,
+            last_acked: self.last_acked,
+        };
+        match link.roundtrip(RESUME_REQ_ID, &resume)? {
+            Response::Resumed { token, cached } if token == self.token => {
                 self.replays_resumed += u64::from(cached);
                 Ok(())
             }
-            Ok(Response::Err { code, message }) => {
-                self.stream = None;
-                Err(ClientError::Server { code, message })
-            }
-            Ok(other) => {
-                self.stream = None;
-                Err(ClientError::Protocol(format!(
-                    "non-resumed response to a resume: {other:?}"
-                )))
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
+            Response::Err { code, message } => Err(ClientError::Server { code, message }),
+            other => Err(ClientError::Protocol(format!(
+                "non-resumed response to a resume: {other:?}"
+            ))),
         }
-    }
-
-    fn roundtrip(&mut self, req_id: u64, req: &Request) -> Result<Response, ClientError> {
-        let stream = self.stream.as_mut().expect("caller connected");
-        let mut frame = Vec::new();
-        wire::encode_request(req_id, req, &mut frame)?;
-        stream.write_all(&frame)?;
-        let mut buf = Vec::new();
-        if !wire::read_frame(stream, &mut buf)? {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection during the handshake",
-            )));
-        }
-        let (id, resp) = wire::decode_response_current(&buf)?;
-        if id != req_id {
-            return Err(ClientError::Protocol(format!(
-                "handshake response for req_id {id}, expected {req_id}"
-            )));
-        }
-        Ok(resp)
     }
 
     /// Sleep `base * 2^(attempt-1)` capped, jittered into the upper
@@ -581,6 +571,53 @@ impl ResilientClient {
         let full = exp.min(cap).max(1);
         let jittered = full / 2 + self.rng.below(full / 2 + 1);
         std::thread::sleep(Duration::from_nanos(jittered));
+    }
+}
+
+/// One live connection and its read buffer.
+struct Link {
+    stream: TcpStream,
+    /// Bytes read but not yet consumed live in `rbuf[..rlen]`.
+    rbuf: Vec<u8>,
+    rlen: usize,
+}
+
+impl Link {
+    /// Writes one handshake request and reads its answer.
+    fn roundtrip(&mut self, req_id: u64, req: &Request) -> Result<Response, ClientError> {
+        let mut frame = Vec::new();
+        wire::encode_request(req_id, req, &mut frame)?;
+        self.stream.write_all(&frame)?;
+        let (id, resp) = self.recv("server closed the connection during the handshake")?;
+        if id != req_id {
+            return Err(ClientError::Protocol(format!(
+                "handshake response for req_id {id}, expected {req_id}"
+            )));
+        }
+        Ok(resp)
+    }
+
+    /// Reads and decodes the next response frame. A response that
+    /// arrives whole costs one `read`; `eof` names an end of stream
+    /// before it.
+    fn recv(&mut self, eof: &str) -> Result<(u64, Response), ClientError> {
+        loop {
+            if let Some(range) = wire::split_frame(&self.rbuf[..self.rlen], 0)? {
+                let out = wire::decode_response_current(&self.rbuf[range.clone()]);
+                self.rbuf.copy_within(range.end..self.rlen, 0);
+                self.rlen -= range.end;
+                return Ok(out?);
+            }
+            if self.rlen == self.rbuf.len() {
+                self.rbuf.resize(2 * self.rbuf.len(), 0);
+            }
+            match self.stream.read(&mut self.rbuf[self.rlen..]) {
+                Ok(0) => return Err(std::io::Error::new(ErrorKind::UnexpectedEof, eof).into()),
+                Ok(n) => self.rlen += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 }
 

@@ -227,31 +227,47 @@ fn busy_flood_saturates_cross_shard_queues() {
         layout.push(ObjectInit::FetchAdd(0));
     }
     let handle = serve(&layout, 2, 1);
-    let mut conn = Connection::builder().connect(handle.local_addr()).unwrap();
+    // The acceptor deals connections round-robin: one floods each
+    // loop, so each loop is busy with its own burst when the other's
+    // cross-shard half reaches it (a parked owner would be borrowed
+    // from instead of queued on).
+    let mut conns: Vec<Connection> = (0..2)
+        .map(|_| Connection::builder().connect(handle.local_addr()).unwrap())
+        .collect();
 
-    // Whichever loop owns this connection, half the object ids live on
+    // Whichever loop owns a connection, half the object ids live on
     // the other shard, so half of each burst crosses a capacity-1
     // queue. Keep flooding (bounded) until backpressure shows up.
     let mut ok_per_obj = [0i64; OBJECTS];
     let mut busy = 0u64;
     for _ in 0..ROUNDS {
-        let ids: Vec<(u64, usize)> = (0..PER_ROUND)
-            .map(|i| {
-                let obj = i % OBJECTS;
-                let id = conn
-                    .send(0, Op::new(ObjectId(obj), OpKind::FetchAdd(1)))
-                    .unwrap();
-                (id, obj)
+        let ids: Vec<Vec<(u64, usize)>> = conns
+            .iter_mut()
+            .map(|conn| {
+                (0..PER_ROUND)
+                    .map(|i| {
+                        let obj = i % OBJECTS;
+                        let id = conn
+                            .send(0, Op::new(ObjectId(obj), OpKind::FetchAdd(1)))
+                            .unwrap();
+                        (id, obj)
+                    })
+                    .collect()
             })
             .collect();
-        for (id, obj) in ids {
-            match conn.wait(id).unwrap() {
-                bso_server::Response::Ok(_) => ok_per_obj[obj] += 1,
-                bso_server::Response::Err { code, .. } => {
-                    assert_eq!(code, bso_server::ErrorCode::Busy, "only Busy is expected");
-                    busy += 1;
+        for conn in &mut conns {
+            conn.flush().unwrap();
+        }
+        for (conn, ids) in conns.iter_mut().zip(ids) {
+            for (id, obj) in ids {
+                match conn.wait(id).unwrap() {
+                    bso_server::Response::Ok(_) => ok_per_obj[obj] += 1,
+                    bso_server::Response::Err { code, .. } => {
+                        assert_eq!(code, bso_server::ErrorCode::Busy, "only Busy is expected");
+                        busy += 1;
+                    }
+                    other => panic!("unexpected {other:?}"),
                 }
-                other => panic!("unexpected {other:?}"),
             }
         }
         if busy > 0 {
@@ -265,6 +281,7 @@ fn busy_flood_saturates_cross_shard_queues() {
     );
 
     // Exact ledger: each counter advanced once per accepted op.
+    let conn = &mut conns[0];
     for (obj, &expect) in ok_per_obj.iter().enumerate() {
         assert_eq!(
             conn.apply(0, Op::read(ObjectId(obj))).unwrap(),
@@ -272,7 +289,7 @@ fn busy_flood_saturates_cross_shard_queues() {
             "object {obj} disagrees with the accepted-op ledger"
         );
     }
-    drop(conn);
+    drop(conns);
     let stats = handle.shutdown();
     assert_eq!(stats.busy, busy);
 }

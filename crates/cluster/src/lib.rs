@@ -512,11 +512,11 @@ impl ClusterClient {
         let obj = op.obj.0 as u64;
         let mut hops = 0;
         loop {
-            let addr = self.owner_of(obj)?;
+            let owner = owner_in(&self.table, obj)?;
             // A connect failure counts as the owner being unreachable,
             // same as a mid-op loss — both reach the failover arm.
-            let out = match self.client_for(&addr) {
-                Ok(c) => c.apply(pid, op.clone()),
+            let out = match client_in(&mut self.clients, &self.policy, &self.recorder, owner) {
+                Ok(c) => c.apply_ref(pid, &op),
                 Err(e) => Err(e),
             };
             match out {
@@ -542,9 +542,9 @@ impl ClusterClient {
                     // re-issuing at the new owner is safe. If the
                     // placement is unchanged, the outcome is unknown
                     // and the error surfaces.
+                    let before = owner_in(&self.table, obj)?.to_string();
                     self.refresh()?;
-                    let now = self.owner_of(obj)?;
-                    if now == addr {
+                    if owner_in(&self.table, obj)? == before {
                         return Err(ClientError::Io(io));
                     }
                     self.failovers += 1;
@@ -663,23 +663,35 @@ impl ClusterClient {
         out
     }
 
-    fn owner_of(&self, obj: u64) -> Result<String, ClientError> {
-        self.table
-            .owner_of(obj)
-            .map(str::to_string)
-            .ok_or_else(|| ClientError::Protocol(format!("no routing entry covers object {obj}")))
-    }
-
     fn client_for(&mut self, addr: &str) -> Result<&mut ResilientClient, ClientError> {
-        if !self.clients.contains_key(addr) {
-            let mut b = ResilientClient::builder().policy(self.policy.clone());
-            if let Some(rec) = &self.recorder {
-                b = b.recorder(Arc::clone(rec));
-            }
-            self.clients.insert(addr.to_string(), b.connect(addr)?);
-        }
-        Ok(self.clients.get_mut(addr).expect("inserted above"))
+        client_in(&mut self.clients, &self.policy, &self.recorder, addr)
     }
+}
+
+/// The member `table` routes `obj` to.
+fn owner_in(table: &RoutingTable, obj: u64) -> Result<&str, ClientError> {
+    table
+        .owner_of(obj)
+        .ok_or_else(|| ClientError::Protocol(format!("no routing entry covers object {obj}")))
+}
+
+/// The session for member `addr`, created on first contact. A free
+/// function over the client's fields, so a caller can hold an owner
+/// address borrowed from the table while it looks the session up.
+fn client_in<'a>(
+    clients: &'a mut HashMap<String, ResilientClient>,
+    policy: &RetryPolicy,
+    recorder: &Option<Arc<HistoryRecorder>>,
+    addr: &str,
+) -> Result<&'a mut ResilientClient, ClientError> {
+    if !clients.contains_key(addr) {
+        let mut b = ResilientClient::builder().policy(policy.clone());
+        if let Some(rec) = recorder {
+            b = b.recorder(Arc::clone(rec));
+        }
+        clients.insert(addr.to_string(), b.connect(addr)?);
+    }
+    Ok(clients.get_mut(addr).expect("inserted above"))
 }
 
 /// Whether an election attempt at the primary should fail over to the

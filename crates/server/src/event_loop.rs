@@ -5,20 +5,46 @@
 //!
 //! ```text
 //! acceptor ──round-robin NewConn──▶ Inbox ─▶ event loop 0 ◀──Xfer/Reply──▶ Inbox ─▶ event loop 1 …
-//!                                               │
-//!                                 owns: conns (Slab) + ShardState + Poller + Arena
+//!                                               │    └──try_lock while 1 is parked──▶ ShardLock 1
+//!                                 owns: conns (Slab) + Shard + Poller + Arena
 //! ```
 //!
 //! One loop per shard. Each loop owns *both* a slice of the
 //! connections and the shard of objects whose ids land on it
 //! (`id % nloops == index`), so the common case — a request arriving
 //! on the loop that owns its object — is applied inline between a
-//! `read` and a `write` with no queue, no lock, and no thread
-//! handoff. Only cross-shard requests travel to the owner loop's
-//! [`Inbox`] as bounded work ([`Msg::Xfer`]); the owner applies them
-//! and routes the reply back into the origin loop's inbox
-//! ([`Msg::Reply`]) — the origin loop is the **single writer** for its
-//! sockets, so responses never interleave mid-frame.
+//! `read` and a `write` with no queue and no thread handoff.
+//!
+//! A cross-shard request goes one of two ways. While its owner is
+//! parked, the owner's [`Shard`] sits in the [`ShardLock`] of its
+//! [`LoopHandle`], and the arriving loop *borrows* it: it applies the
+//! request itself, under one uncontended lock, instead of paying two
+//! thread wakeups for a round trip through a sleeping owner. It
+//! borrows only when all of these hold:
+//!
+//! - the owner is parked ([`Inbox::is_parked`]);
+//! - a `try_lock` on the owner's shard succeeds — a loop never blocks
+//!   on a peer's shard, so no lock order with the routing lock can
+//!   deadlock;
+//! - the connection has no forwarded request outstanding;
+//! - the owner's inbox is not closed.
+//!
+//! Otherwise the request travels to the owner loop's [`Inbox`] as
+//! bounded work ([`Msg::Xfer`]); the owner applies it in its next turn,
+//! batched with whatever else that turn does, and routes the reply back
+//! into the origin loop's inbox ([`Msg::Reply`]). Either way the origin
+//! loop is the **single writer** for its sockets, so responses never
+//! interleave mid-frame.
+//!
+//! Own-shard, borrowed and forwarded work all run the same apply site,
+//! [`run_work`]: deadline shed, routing check, apply, session outcome.
+//! Per-connection order holds because a connection's frames are parsed
+//! in order, a borrowed apply completes before the next frame is
+//! parsed, and a forwarded one stops its connection from borrowing
+//! until its reply is consumed, so nothing later can overtake it. The
+//! migration detach barrier holds because every apply, whichever
+//! thread runs it, checks the routing table under a guard held across
+//! the apply itself.
 //!
 //! # Batching and wakeups
 //!
@@ -78,8 +104,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bso_objects::{Layout, Op, Value};
-use bso_telemetry::trace::{TraceArg, TraceWorker};
+use bso_objects::{Op, Value};
 use bso_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::arena::{Arena, Slab};
@@ -88,15 +113,18 @@ use crate::introspect::{self, IntrospectState, ProbeScratch};
 use crate::poll::{self, Interest, Poller, WakeReader, Waker};
 use crate::routing::RouteControl;
 use crate::session::{Begin, ResumeTable};
-use crate::shard::ShardState;
+use crate::shard::{Shard, ShardLock};
 use crate::wire::{self, ErrorCode, Request, Response, TraceContext};
 
+/// Why a loop can count on holding its shard: it takes it back before
+/// every turn and lends it out only while parked.
+const RUNNING: &str = "the running loop holds its shard";
 /// Poller token reserved for the loop's wake pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
 /// Poll timeout while draining (loops re-check exit conditions).
 const DRAIN_POLL: Duration = Duration::from_millis(2);
 /// Hard ceiling on the drain before sockets are closed regardless.
-const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
+pub(crate) const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 /// A write buffer past this many bytes is flushed mid-turn instead of
 /// waiting for the end of the readiness turn.
 const FLUSH_HIGH_WATER: usize = 1 << 20;
@@ -123,7 +151,8 @@ pub(crate) enum Msg {
     Xfer(Xfer),
 }
 
-/// The shard work carried by a cross-loop transfer.
+/// Shard work: what runs at the apply site ([`run_work`]), on the
+/// owning loop, on a borrowing peer, or carried by a transfer.
 pub(crate) enum Work {
     Apply {
         pid: usize,
@@ -162,26 +191,57 @@ pub(crate) enum Work {
     },
 }
 
-/// A request forwarded to the loop that owns its object/session.
+impl Job {
+    fn new(req_id: u64, sess: Option<u64>, deadline: Option<Instant>, work: Work) -> Job {
+        Job {
+            req_id,
+            deadline,
+            sess,
+            work,
+        }
+    }
+}
+
+impl Work {
+    /// The object or session id whose owner runs this work
+    /// (`key % nloops`).
+    fn key(&self) -> usize {
+        match self {
+            Work::Apply { op, .. } => op.obj.0,
+            Work::ExportObject { obj } | Work::InstallObject { obj, .. } => *obj,
+            Work::OpenElection { session, .. }
+            | Work::Elect { session, .. }
+            | Work::ExportSession { session }
+            | Work::InstallSession { session, .. } => *session as usize,
+        }
+    }
+}
+
+/// One request's shard work plus what its apply site needs to answer
+/// it.
+pub(crate) struct Job {
+    req_id: u64,
+    /// Freshness bound from a [`Request::DeadlineApply`]: the apply
+    /// site sheds the work (typed [`ErrorCode::Expired`], never
+    /// applied) if it reaches it past this instant.
+    deadline: Option<Instant>,
+    /// Resumable-session token of the issuing connection, if bound.
+    /// The apply site records the outcome against `(sess, req_id)`, so
+    /// a response that never reaches its (possibly dead) origin
+    /// connection is still replayable to the retry.
+    sess: Option<u64>,
+    work: Work,
+}
+
+/// A job forwarded to the loop that owns its object/session.
 pub(crate) struct Xfer {
     origin: usize,
     conn: u32,
     gen: u32,
-    req_id: u64,
     /// When the transfer was enqueued — the flight recorder reports
     /// the queue wait it implies.
     queued: Instant,
-    /// Freshness bound from a [`Request::DeadlineApply`]: the owner
-    /// loop sheds the work (typed [`ErrorCode::Expired`], never
-    /// applied) if it reaches it past this instant.
-    deadline: Option<Instant>,
-    /// Resumable-session token of the issuing connection, if bound.
-    /// The owner loop records the apply's outcome against
-    /// `(sess, req_id)` *at the apply site*, so a response that never
-    /// reaches its (possibly dead) origin connection is still
-    /// replayable to the retry.
-    sess: Option<u64>,
-    work: Work,
+    job: Job,
 }
 
 /// Keeps a value on a cache line (pair) of its own.
@@ -189,10 +249,12 @@ pub(crate) struct Xfer {
 #[derive(Default)]
 struct Padded<T>(T);
 
-/// One loop's shared-facing surface: its inbox and its count of
-/// forwarded-but-unanswered transfers.
+/// One loop's shared-facing surface: its inbox, its shard (in its lock
+/// while the loop is parked), and its count of forwarded-but-unanswered
+/// transfers.
 pub(crate) struct LoopHandle {
     pub(crate) inbox: Inbox<Msg>,
+    pub(crate) shard: ShardLock,
     /// Transfers this loop forwarded whose replies it has not yet
     /// consumed (or recognized as stale). Only this loop writes it;
     /// drain completion requires every loop's cell to read zero, so no
@@ -201,9 +263,10 @@ pub(crate) struct LoopHandle {
 }
 
 impl LoopHandle {
-    pub(crate) fn new(capacity: usize, depth: Gauge, waker: Waker) -> LoopHandle {
+    pub(crate) fn new(capacity: usize, depth: Gauge, waker: Waker, shard: Shard) -> LoopHandle {
         LoopHandle {
             inbox: Inbox::new(capacity, depth, waker),
+            shard: ShardLock::new(shard),
             inflight: Padded::default(),
         }
     }
@@ -300,13 +363,13 @@ pub(crate) struct EventLoop {
     poller: Poller,
     wake: WakeReader,
     conns: Slab<Conn>,
-    shard: ShardState,
+    /// This loop's shard while it runs a turn; back in its
+    /// [`ShardLock`] (and borrowable) while the loop is parked.
+    shard: Option<Box<Shard>>,
     arena: Arena,
     shared: Arc<Shared>,
     read_chunk: usize,
     pin_cores: bool,
-    /// This loop's trace track; disabled workers are free.
-    trace: TraceWorker,
     // Telemetry mirrors of the StatCells counters, plus loop-local
     // instruments.
     registry: Registry,
@@ -320,6 +383,8 @@ pub(crate) struct EventLoop {
     replays: Counter,
     wrong_shard: Counter,
     wakeups: Counter,
+    forwarded: Counter,
+    borrowed: Counter,
     conns_gauge: Gauge,
     /// Created on first completed flush, so loops that never serve a
     /// connection don't leave an empty histogram in the snapshot.
@@ -348,14 +413,12 @@ impl EventLoop {
     pub(crate) fn new(
         index: usize,
         nloops: usize,
-        layout: &Layout,
         poller: Poller,
         wake: WakeReader,
         shared: Arc<Shared>,
         registry: &Registry,
         read_chunk: usize,
         pin_cores: bool,
-        trace: TraceWorker,
     ) -> EventLoop {
         EventLoop {
             index,
@@ -363,7 +426,7 @@ impl EventLoop {
             poller,
             wake,
             conns: Slab::new(),
-            shard: ShardState::new(layout, index, nloops, registry),
+            shard: None,
             arena: Arena::new(
                 read_chunk,
                 64,
@@ -372,7 +435,6 @@ impl EventLoop {
             shared,
             read_chunk: read_chunk.max(1024),
             pin_cores,
-            trace,
             registry: registry.clone(),
             requests: registry.counter("server.requests"),
             responses: registry.counter("server.responses"),
@@ -384,6 +446,8 @@ impl EventLoop {
             replays: registry.counter("server.replays"),
             wrong_shard: registry.counter("server.wrong_shard"),
             wakeups: registry.counter(&format!("server.loop{index}.wakeups")),
+            forwarded: registry.counter(&format!("server.loop{index}.forwarded")),
+            borrowed: registry.counter(&format!("server.loop{index}.borrowed")),
             conns_gauge: registry.gauge(&format!("server.loop{index}.conns")),
             flush_batch: None,
             probe: ProbeScratch::default(),
@@ -411,16 +475,22 @@ impl EventLoop {
         self.poller
             .register(self.wake.raw_fd(), WAKE_TOKEN, Interest::READ)
             .expect("register wake pipe");
+        let shared = Arc::clone(&self.shared);
+        let me = &shared.loops[self.index];
+        self.shard = Some(me.shard.take());
         let mut drain_started: Option<Instant> = None;
         loop {
             if drain_started.is_none() && self.shared.shutdown.load(Ordering::Acquire) {
                 drain_started = Some(Instant::now());
             }
+            // Leave the shard for peers to borrow *before* parking: a
+            // parked loop never holds it.
+            me.shard.put(self.shard.take().expect(RUNNING));
             // Park, then block only if neither the inbox nor (outside a
             // drain) the shutdown flag has news; any push after the
             // park writes the pipe. A drain keeps its bounded poll
             // rather than spinning on the flag it already saw.
-            let timeout = if !self.shared.loops[self.index].inbox.park() {
+            let timeout = if !me.inbox.park() {
                 Some(Duration::ZERO)
             } else if drain_started.is_some() {
                 Some(DRAIN_POLL)
@@ -433,7 +503,9 @@ impl EventLoop {
             if let Err(e) = self.poller.wait(&mut events, timeout) {
                 debug_assert!(false, "poller wait failed: {e}");
             }
-            self.shared.loops[self.index].inbox.unpark();
+            me.inbox.unpark();
+            // Waits out a peer's borrow (one apply at most).
+            self.shard = Some(me.shard.take());
             // Turn time measures the work between poll returns, not
             // the idle wait itself.
             let turn_start = Instant::now();
@@ -558,96 +630,22 @@ impl EventLoop {
     /// back to its origin loop.
     fn serve_xfer(&mut self, x: Xfer) {
         let queue_ns = u64::try_from(x.queued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // Deadline check at the apply site: queued work whose
-        // freshness budget ran out is shed — refused, never
-        // applied — so an overloaded shard spends its time on
-        // answers clients are still waiting for.
-        let resp = if x.deadline.is_some_and(|d| Instant::now() >= d) {
-            if let Some(token) = x.sess {
-                self.shared.sessions.abort(token, x.req_id);
-            }
-            self.note_shed();
-            Response::Err {
-                code: ErrorCode::Expired,
-                message: format!(
-                    "deadline expired after {}us in the cross-shard queue; op not applied",
-                    queue_ns / 1_000
-                ),
-            }
-        } else {
-            // Routing check at the apply site, under a guard held
-            // across the apply itself: once `DetachRanges` wins the
-            // table's write lock, every apply on a detached range
-            // has either completed (its effect is visible to the
-            // migration's `ExportObject`) or bounces `WrongShard`.
-            let route = self.shared.route.guard();
-            let denied = match &x.work {
-                Work::Apply { op, .. } => {
-                    let object = op.obj.0 as u64;
-                    route.check(object).err().map(|epoch| (epoch, object))
-                }
-                // Election and cluster-plane work is not
-                // range-routed (see `Work::ExportObject`).
-                _ => None,
-            };
-            if let Some((epoch, object)) = denied {
-                drop(route);
-                if let Some(token) = x.sess {
-                    self.shared.sessions.abort(token, x.req_id);
-                }
-                self.note_wrong_shard();
-                Response::Err {
-                    code: ErrorCode::WrongShard,
-                    message: wire::wrong_shard_message(epoch, object),
-                }
-            } else {
-                let resp = match x.work {
-                    Work::Apply { pid, op, trace } => {
-                        let object = op.obj.0 as u64;
-                        let t0 = self.span_start(trace);
-                        let (resp, apply_ns) = self.shard.apply(pid, &op);
-                        self.record_apply(trace, t0, object, apply_ns);
-                        // batch 0: the reply is staged by the origin loop,
-                        // so this loop cannot know its flush position.
-                        self.probe
-                            .push_request(wire::OP_APPLY, object, queue_ns, apply_ns, 0);
-                        resp
-                    }
-                    Work::OpenElection { session, k } => self.shard.open_election(session, k),
-                    Work::Elect { session, pid } => {
-                        let (resp, elect_ns) = self.shard.elect(session, pid);
-                        self.probe.push_request(
-                            wire::OP_ELECT,
-                            u64::from(session),
-                            queue_ns,
-                            elect_ns,
-                            0,
-                        );
-                        resp
-                    }
-                    work => Self::run_admin(&mut self.shard, work),
-                };
-                // The outcome is recorded against the session *here*,
-                // atomically-with-the-apply from the retry's point of
-                // view: even if the origin connection died, a retry of
-                // this req_id replays this response instead of
-                // re-applying the op.
-                if let Some(token) = x.sess {
-                    self.shared.sessions.complete(token, x.req_id, &resp);
-                }
-                resp
-            }
-        };
+        let req_id = x.job.req_id;
+        let shard = self.shard.as_deref_mut().expect(RUNNING);
+        let done = run_work(shard, &self.shared, x.job, queue_ns);
+        // batch 0: the reply is staged by the origin loop, so this loop
+        // cannot know its flush position.
+        self.note(self.index, &done, queue_ns, 0);
         if x.origin == self.index {
-            // Never produced by `forward` (own-shard work applies
-            // inline), but harmless to answer locally.
-            self.settle_remote(x.conn, x.gen, x.req_id, &resp);
+            // Never produced by `dispatch` (own-shard work runs inline),
+            // but harmless to answer locally.
+            self.settle_remote(x.conn, x.gen, req_id, &done.resp);
         } else {
             self.shared.loops[x.origin].inbox.push(Msg::Reply {
                 conn: x.conn,
                 gen: x.gen,
-                req_id: x.req_id,
-                resp,
+                req_id,
+                resp: done.resp,
             });
             self.owed_notify[x.origin] = true;
         }
@@ -836,61 +834,28 @@ impl EventLoop {
                 // Session admission *before* the session-id allocation:
                 // a replayed OpenElection must return its original id,
                 // not mint (and orphan) a second election.
-                let sess = match self.admit(slot, req_id) {
-                    Ok(sess) => sess,
-                    Err(()) => return FrameOutcome::Next,
-                };
-                let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-                let target = session as usize % self.nloops;
-                if target == self.index {
-                    let resp = self.shard.open_election(session, k as usize);
-                    self.settle(sess, req_id, &resp);
-                    self.respond(slot, req_id, &resp);
-                } else {
-                    self.forward(
-                        slot,
-                        req_id,
-                        target,
-                        sess,
-                        None,
-                        Work::OpenElection {
-                            session,
-                            k: k as usize,
-                        },
-                    );
+                if let Ok(sess) = self.admit(slot, req_id) {
+                    let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
+                    let work = Work::OpenElection {
+                        session,
+                        k: k as usize,
+                    };
+                    self.dispatch(slot, Job::new(req_id, sess, None, work));
                 }
             }
             Request::Elect { session, pid } => {
-                let sess = match self.admit(slot, req_id) {
-                    Ok(sess) => sess,
-                    Err(()) => return FrameOutcome::Next,
-                };
-                let target = session as usize % self.nloops;
-                if target == self.index {
-                    let batch = self.conns.get_mut(slot).map_or(0, |c| c.batch);
-                    let (resp, elect_ns) = self.shard.elect(session, pid as usize);
-                    self.probe
-                        .push_request(wire::OP_ELECT, u64::from(session), 0, elect_ns, batch);
-                    self.settle(sess, req_id, &resp);
-                    self.respond(slot, req_id, &resp);
-                } else {
-                    self.forward(
-                        slot,
-                        req_id,
-                        target,
-                        sess,
-                        None,
-                        Work::Elect {
-                            session,
-                            pid: pid as usize,
-                        },
-                    );
+                if let Ok(sess) = self.admit(slot, req_id) {
+                    let work = Work::Elect {
+                        session,
+                        pid: pid as usize,
+                    };
+                    self.dispatch(slot, Job::new(req_id, sess, None, work));
                 }
             }
             // Cluster-plane requests (coordinator traffic, not client
             // effects): no session admission, no routing check. Table
             // edits answer inline on the arriving loop; object/session
-            // transfers route to the owning loop like applies.
+            // transfers route to the owning shard like applies.
             Request::FetchRouting => {
                 let (epoch, table) = self.shared.route.snapshot();
                 self.respond(slot, req_id, &Response::Routing { epoch, table });
@@ -924,73 +889,30 @@ impl EventLoop {
                 self.respond(slot, req_id, &resp);
             }
             Request::ExportObject { obj } => {
-                let target = obj as usize % self.nloops;
-                self.serve_admin(
-                    slot,
-                    req_id,
-                    target,
-                    Work::ExportObject { obj: obj as usize },
-                );
+                let work = Work::ExportObject { obj: obj as usize };
+                self.dispatch(slot, Job::new(req_id, None, None, work));
             }
             Request::InstallObject { obj, state } => {
-                let target = obj as usize % self.nloops;
-                self.serve_admin(
-                    slot,
-                    req_id,
-                    target,
-                    Work::InstallObject {
-                        obj: obj as usize,
-                        state,
-                    },
-                );
+                let work = Work::InstallObject {
+                    obj: obj as usize,
+                    state,
+                };
+                self.dispatch(slot, Job::new(req_id, None, None, work));
             }
             Request::ExportSession { session } => {
-                let target = session as usize % self.nloops;
-                self.serve_admin(slot, req_id, target, Work::ExportSession { session });
+                let work = Work::ExportSession { session };
+                self.dispatch(slot, Job::new(req_id, None, None, work));
             }
             Request::InstallSession { session, k, state } => {
-                let target = session as usize % self.nloops;
-                self.serve_admin(
-                    slot,
-                    req_id,
-                    target,
-                    Work::InstallSession {
-                        session,
-                        k: k as usize,
-                        state,
-                    },
-                );
+                let work = Work::InstallSession {
+                    session,
+                    k: k as usize,
+                    state,
+                };
+                self.dispatch(slot, Job::new(req_id, None, None, work));
             }
         }
         FrameOutcome::Next
-    }
-
-    /// Routes a cluster-plane transfer op to the loop owning its
-    /// object/session id: inline here, or forwarded with no session
-    /// marker and no deadline.
-    fn serve_admin(&mut self, slot: u32, req_id: u64, target: usize, work: Work) {
-        if target == self.index {
-            let resp = Self::run_admin(&mut self.shard, work);
-            self.respond(slot, req_id, &resp);
-        } else {
-            self.forward(slot, req_id, target, None, None, work);
-        }
-    }
-
-    /// Executes a cluster-plane transfer op against this loop's shard.
-    fn run_admin(shard: &mut ShardState, work: Work) -> Response {
-        match work {
-            Work::ExportObject { obj } => shard.export_object(obj),
-            Work::InstallObject { obj, state } => shard.install_object(obj, &state),
-            Work::ExportSession { session } => shard.export_session(session),
-            Work::InstallSession { session, k, state } => shard.install_session(session, k, &state),
-            // Apply/OpenElection/Elect never reach here: `serve_xfer`
-            // handles them in their own arms.
-            _ => Response::Err {
-                code: ErrorCode::BadRequest,
-                message: "non-admin work routed to run_admin".into(),
-            },
-        }
     }
 
     /// Session admission for an effectful request. `Ok(None)`: the
@@ -1038,13 +960,6 @@ impl EventLoop {
         }
     }
 
-    /// Settles an inline apply's session marker with its outcome.
-    fn settle(&mut self, sess: Option<u64>, req_id: u64, resp: &Response) {
-        if let Some(token) = sess {
-            self.shared.sessions.complete(token, req_id, resp);
-        }
-    }
-
     fn handle_hello(&mut self, slot: u32, req_id: u64, proposed: u8) -> FrameOutcome {
         if proposed == wire::VERSION {
             if let Some(c) = self.conns.get_mut(slot) {
@@ -1082,9 +997,7 @@ impl EventLoop {
         FrameOutcome::Next
     }
 
-    /// Routes an apply (traced, deadlined or plain) to its owning
-    /// loop: inline when this loop owns the object, a cross-loop
-    /// transfer otherwise.
+    /// Admits an apply (traced, deadlined or plain) and dispatches it.
     fn serve_apply(
         &mut self,
         slot: u32,
@@ -1094,119 +1007,72 @@ impl EventLoop {
         trace: Option<TraceContext>,
         deadline: Option<Instant>,
     ) {
-        let sess = match self.admit(slot, req_id) {
-            Ok(sess) => sess,
-            Err(()) => return,
-        };
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            // Zero/negative budget by the time we decoded it: shed
-            // before routing. The cross-shard case re-checks at the
-            // owner (where queue wait has accrued).
-            if let Some(token) = sess {
-                self.shared.sessions.abort(token, req_id);
-            }
-            self.note_shed();
-            self.respond(
-                slot,
-                req_id,
-                &Response::Err {
-                    code: ErrorCode::Expired,
-                    message: "deadline expired before routing; op not applied".into(),
-                },
-            );
-            return;
+        if let Ok(sess) = self.admit(slot, req_id) {
+            let work = Work::Apply {
+                pid: pid as usize,
+                op,
+                trace,
+            };
+            self.dispatch(slot, Job::new(req_id, sess, deadline, work));
         }
-        let target = op.obj.0 % self.nloops;
-        let object = op.obj.0 as u64;
-        // Routing ownership check — after admission (so a replay of an
-        // op applied before a migration still answers from the reply
-        // cache) and before any effect. For the inline path the guard
-        // stays held across the apply itself; combined with the
-        // re-check in `serve_xfer`, a `DetachRanges` write-locking the
-        // table is a barrier: afterwards, every apply on a detached
-        // range has either completed or was refused `WrongShard`.
-        let route = self.shared.route.guard();
-        if let Err(epoch) = route.check(object) {
-            drop(route);
-            if let Some(token) = sess {
-                self.shared.sessions.abort(token, req_id);
-            }
-            self.note_wrong_shard();
-            self.respond(
-                slot,
-                req_id,
-                &Response::Err {
-                    code: ErrorCode::WrongShard,
-                    message: wire::wrong_shard_message(epoch, object),
-                },
-            );
-            return;
-        }
-        if target != self.index {
-            // The owning loop re-checks under its own guard at the
-            // apply site; this early check just rejects cheaply.
-            drop(route);
-            self.forward(
-                slot,
-                req_id,
-                target,
-                sess,
-                deadline,
-                Work::Apply {
-                    pid: pid as usize,
-                    op,
-                    trace,
-                },
-            );
-            return;
-        }
+    }
+
+    /// Runs a job at its apply site: on this loop's own shard, on a
+    /// parked owner's shard borrowed for this one apply, or — when the
+    /// owner is running, its lock is taken, or this connection already
+    /// has a transfer outstanding — on the owner's loop, as a transfer.
+    fn dispatch(&mut self, slot: u32, job: Job) {
+        let req_id = job.req_id;
+        let target = job.work.key() % self.nloops;
         // Position in the connection's current write batch, read
-        // before the response is staged.
-        let batch = self.conns.get_mut(slot).map_or(0, |c| c.batch);
-        let t0 = self.span_start(trace);
-        let (resp, apply_ns) = self.shard.apply(pid as usize, &op);
-        self.record_apply(trace, t0, object, apply_ns);
-        self.probe
-            .push_request(wire::OP_APPLY, object, 0, apply_ns, batch);
-        if let Some(token) = sess {
-            self.shared.sessions.complete(token, req_id, &resp);
+        // before the response is staged; also says whether the
+        // connection waits on a transfer (then nothing may overtake it).
+        let (batch, quiet) = self
+            .conns
+            .get_mut(slot)
+            .map_or((0, false), |c| (c.batch, c.inflight_remote == 0));
+        let done = if target == self.index {
+            let shard = self.shard.as_deref_mut().expect(RUNNING);
+            run_work(shard, &self.shared, job, 0)
+        } else {
+            let owner = &self.shared.loops[target];
+            let parked = quiet && owner.inbox.is_parked() && !owner.inbox.is_closed();
+            let borrowed = match parked.then(|| owner.shard.try_borrow()).flatten() {
+                Some(mut shard) => Ok(run_work(&mut shard, &self.shared, job, 0)),
+                None => Err(job),
+            };
+            match borrowed {
+                Ok(done) => {
+                    self.borrowed.inc();
+                    self.probe.borrowed += 1;
+                    done
+                }
+                Err(job) => return self.forward(slot, target, job),
+            }
+        };
+        self.note(target, &done, 0, batch);
+        self.respond(slot, req_id, &done.resp);
+    }
+
+    /// Records what an apply site reported: counters, and the flight
+    /// record for the probe of `shard`, the shard it ran on.
+    fn note(&mut self, shard: usize, done: &Done, queue_ns: u64, batch: u64) {
+        match done.note {
+            Note::Ran {
+                opcode,
+                key,
+                apply_ns,
+            } => self
+                .probe
+                .push_request(shard, opcode, key, queue_ns, apply_ns, batch),
+            Note::Quiet => {}
+            Note::Shed => self.note_shed(),
+            Note::WrongShard => self.note_wrong_shard(),
         }
-        drop(route);
-        self.respond(slot, req_id, &resp);
     }
 
-    /// Timestamp for a traced apply's span start, or `None` when the
-    /// request is untraced or this loop's trace track is disabled —
-    /// the no-trace fast path never reads the trace clock.
-    fn span_start(&self, trace: Option<TraceContext>) -> Option<u64> {
-        (trace.is_some() && self.trace.is_enabled()).then(|| self.trace.now_ns())
-    }
-
-    /// Records the `server.apply` span for a traced request.
-    fn record_apply(&self, trace: Option<TraceContext>, t0: Option<u64>, object: u64, dur_ns: u64) {
-        if let (Some(ctx), Some(t0)) = (trace, t0) {
-            self.trace.event_at(
-                t0,
-                Some(dur_ns),
-                "server.apply",
-                [
-                    ("trace_id", TraceArg::U64(ctx.trace_id)),
-                    ("span_id", TraceArg::U64(ctx.span_id)),
-                    ("obj", TraceArg::U64(object)),
-                ],
-            );
-        }
-    }
-
-    fn forward(
-        &mut self,
-        slot: u32,
-        req_id: u64,
-        target: usize,
-        sess: Option<u64>,
-        deadline: Option<Instant>,
-        work: Work,
-    ) {
+    fn forward(&mut self, slot: u32, target: usize, job: Job) {
+        let (req_id, sess) = (job.req_id, job.sess);
         let Some(c) = self.conns.get_mut(slot) else {
             // The connection vanished between admit and forward; the
             // marker must not outlive it unapplied.
@@ -1215,58 +1081,40 @@ impl EventLoop {
             }
             return;
         };
-        let gen = c.gen;
+        let xfer = Xfer {
+            origin: self.index,
+            conn: slot,
+            gen: c.gen,
+            queued: Instant::now(),
+            job,
+        };
         // Counted before the push: the owner may answer at once.
         self.add_inflight(1);
-        match self.shared.loops[target]
+        let (code, message) = match self.shared.loops[target]
             .inbox
-            .try_push_work(Msg::Xfer(Xfer {
-                origin: self.index,
-                conn: slot,
-                gen,
-                req_id,
-                queued: Instant::now(),
-                deadline,
-                sess,
-                work,
-            })) {
+            .try_push_work(Msg::Xfer(xfer))
+        {
             Ok(()) => {
                 if let Some(c) = self.conns.get_mut(slot) {
                     c.inflight_remote += 1;
                 }
                 self.owed_notify[target] = true;
+                self.forwarded.inc();
+                self.probe.forwarded += 1;
+                return;
             }
             Err(RouteError::Busy) => {
-                self.add_inflight(-1);
-                if let Some(token) = sess {
-                    self.shared.sessions.abort(token, req_id);
-                }
                 self.shared.stats.busy.fetch_add(1, Ordering::Relaxed);
                 self.busy.inc();
-                self.respond(
-                    slot,
-                    req_id,
-                    &Response::Err {
-                        code: ErrorCode::Busy,
-                        message: format!("shard {target} queue is full"),
-                    },
-                );
+                (ErrorCode::Busy, format!("shard {target} queue is full"))
             }
-            Err(RouteError::Closed) => {
-                self.add_inflight(-1);
-                if let Some(token) = sess {
-                    self.shared.sessions.abort(token, req_id);
-                }
-                self.respond(
-                    slot,
-                    req_id,
-                    &Response::Err {
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is draining".into(),
-                    },
-                );
-            }
+            Err(RouteError::Closed) => (ErrorCode::ShuttingDown, "server is draining".into()),
+        };
+        self.add_inflight(-1);
+        if let Some(token) = sess {
+            self.shared.sessions.abort(token, req_id);
         }
+        self.respond(slot, req_id, &Response::Err { code, message });
     }
 
     // ------------------------------------------------------------- writing
@@ -1498,6 +1346,113 @@ impl EventLoop {
             self.close_conn(slot);
         }
     }
+}
+
+/// What an apply site reports to the loop that ran it: the response,
+/// and what that loop's counters and probe must record.
+struct Done {
+    resp: Response,
+    note: Note,
+}
+
+enum Note {
+    /// An apply or elect ran: a flight record for the shard's probe.
+    Ran { opcode: u8, key: u64, apply_ns: u64 },
+    /// Work the flight recorder does not record (session opens,
+    /// cluster-plane transfers).
+    Quiet,
+    /// Refused with [`ErrorCode::Expired`], not applied.
+    Shed,
+    /// Refused with [`ErrorCode::WrongShard`], not applied.
+    WrongShard,
+}
+
+/// The one apply site, whichever thread runs it (the owner, a peer
+/// holding the borrowed shard, or the owner serving a transfer):
+/// deadline shed, routing check under a guard held across the apply,
+/// the apply itself, and the session outcome recorded against
+/// `(sess, req_id)` before the response leaves.
+fn run_work(shard: &mut Shard, shared: &Shared, job: Job, queue_ns: u64) -> Done {
+    let Job {
+        req_id,
+        deadline,
+        sess,
+        work,
+    } = job;
+    let refuse = |code, message, note| {
+        if let Some(token) = sess {
+            shared.sessions.abort(token, req_id);
+        }
+        Done {
+            resp: Response::Err { code, message },
+            note,
+        }
+    };
+    // Work whose freshness budget ran out (in a queue, or before it was
+    // even routed) is shed — refused, never applied — so an overloaded
+    // shard spends its time on answers clients are still waiting for.
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        let message = format!(
+            "deadline expired after {}us queued; op not applied",
+            queue_ns / 1_000
+        );
+        return refuse(ErrorCode::Expired, message, Note::Shed);
+    }
+    // Once `DetachRanges` wins the table's write lock, every apply on a
+    // detached range has either completed (its effect is visible to
+    // the migration's `ExportObject`) or bounces `WrongShard`.
+    // Election and cluster-plane work is not range-routed (see
+    // `Work::ExportObject`).
+    let route = shared.route.guard();
+    if let Work::Apply { op, .. } = &work {
+        let object = op.obj.0 as u64;
+        if let Err(epoch) = route.check(object) {
+            drop(route);
+            let message = wire::wrong_shard_message(epoch, object);
+            return refuse(ErrorCode::WrongShard, message, Note::WrongShard);
+        }
+    }
+    let state = &mut shard.state;
+    let (resp, note) = match work {
+        Work::Apply { pid, op, trace } => {
+            let key = op.obj.0 as u64;
+            let t0 = shard.span_start(trace);
+            let (resp, apply_ns) = shard.state.apply(pid, &op);
+            shard.record_apply(trace, t0, key, apply_ns);
+            let note = Note::Ran {
+                opcode: wire::OP_APPLY,
+                key,
+                apply_ns,
+            };
+            (resp, note)
+        }
+        Work::Elect { session, pid } => {
+            let (resp, apply_ns) = state.elect(session, pid);
+            let note = Note::Ran {
+                opcode: wire::OP_ELECT,
+                key: u64::from(session),
+                apply_ns,
+            };
+            (resp, note)
+        }
+        Work::OpenElection { session, k } => (state.open_election(session, k), Note::Quiet),
+        Work::ExportObject { obj } => (state.export_object(obj), Note::Quiet),
+        Work::InstallObject { obj, state: s } => (state.install_object(obj, &s), Note::Quiet),
+        Work::ExportSession { session } => (state.export_session(session), Note::Quiet),
+        Work::InstallSession {
+            session,
+            k,
+            state: s,
+        } => (state.install_session(session, k, &s), Note::Quiet),
+    };
+    // Recorded *here*, atomically-with-the-apply from the retry's point
+    // of view: even if the origin connection died, a retry of this
+    // req_id replays this response instead of re-applying the op.
+    if let Some(token) = sess {
+        shared.sessions.complete(token, req_id, &resp);
+    }
+    drop(route);
+    Done { resp, note }
 }
 
 /// Spills a loop's flight recorder to stderr if its thread unwinds —

@@ -98,7 +98,7 @@ impl<T> Inbox<T> {
     /// *not* queued on `Err`. On `Ok` the caller owes a
     /// [`Inbox::notify`].
     pub(crate) fn try_push_work(&self, item: T) -> Result<(), RouteError> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.is_closed() {
             return Err(RouteError::Closed);
         }
         {
@@ -149,8 +149,9 @@ impl<T> Inbox<T> {
         self.parked.store(false, Ordering::Relaxed);
     }
 
-    /// Whether the loop is parked right now.
-    #[cfg(test)]
+    /// Whether the loop is parked right now (about to wait, or
+    /// waiting): a peer may then borrow its shard instead of queueing
+    /// work behind its wakeup.
     pub(crate) fn is_parked(&self) -> bool {
         self.parked.load(Ordering::SeqCst)
     }
@@ -159,6 +160,11 @@ impl<T> Inbox<T> {
     /// and already-queued items stay accepted and drainable.
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Release);
+    }
+
+    /// Whether the loop has closed its inbox on the way out.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
     }
 
     /// Whether nothing at all is queued right now.

@@ -69,7 +69,8 @@ pub(crate) struct FlightRecord {
     /// Target object id (or session id for election opcodes).
     pub(crate) object: u64,
     /// Time spent queued in a cross-shard [`Inbox`](crate::inbox::Inbox)
-    /// (0 for requests applied inline on the arriving loop).
+    /// (0 for requests applied on the arriving loop: its own shard, or
+    /// a parked owner's borrowed one).
     pub(crate) queue_ns: u64,
     /// Time inside the shard apply/elect.
     pub(crate) apply_ns: u64,
@@ -83,6 +84,9 @@ pub(crate) struct FlightRecord {
 /// turn commits (no `seq` yet — the probe assigns it at commit).
 #[derive(Clone, Copy)]
 pub(crate) struct PendingRecord {
+    /// The shard whose probe records it: the apply's owner, which is
+    /// not the buffering loop when that loop borrowed the shard.
+    shard: usize,
     opcode: u8,
     object: u64,
     queue_ns: u64,
@@ -99,14 +103,19 @@ pub(crate) struct ProbeScratch {
     requests: Vec<PendingRecord>,
     flushes: Vec<u64>,
     shed: u64,
+    /// Requests this loop queued on a peer's inbox.
+    pub(crate) forwarded: u64,
+    /// Requests this loop applied on a parked peer's borrowed shard.
+    pub(crate) borrowed: u64,
 }
 
 impl ProbeScratch {
-    /// Buffers one served request (the always-on per-request cost: one
-    /// `Vec` push).
+    /// Buffers one request served on `shard` (the always-on
+    /// per-request cost: one `Vec` push).
     #[inline]
     pub(crate) fn push_request(
         &mut self,
+        shard: usize,
         opcode: u8,
         object: u64,
         queue_ns: u64,
@@ -114,6 +123,7 @@ impl ProbeScratch {
         batch: u64,
     ) {
         self.requests.push(PendingRecord {
+            shard,
             opcode,
             object,
             queue_ns,
@@ -217,6 +227,11 @@ fn hist_json(h: &HistogramSnapshot) -> Json {
 pub(crate) struct LoopProbe {
     conns: u64,
     wakeups: u64,
+    /// Requests this loop queued on a peer's inbox.
+    forwarded: u64,
+    /// Requests this loop applied on a parked peer's borrowed shard
+    /// (recorded in the owner's flight recorder and histograms).
+    borrowed: u64,
     /// Ops this loop shed on deadline expiry (inline or at its apply
     /// site for queued transfers).
     shed: u64,
@@ -240,6 +255,8 @@ impl LoopProbe {
         LoopProbe {
             conns: 0,
             wakeups: 0,
+            forwarded: 0,
+            borrowed: 0,
             shed: 0,
             turn_ns: PlainHist::new(),
             apply_ns: PlainHist::new(),
@@ -322,10 +339,12 @@ impl LoopProbe {
         Json::obj([
             ("shard", Json::U64(shard as u64)),
             ("apply_ns", hist_json(&self.apply_ns.snapshot())),
+            ("borrowed", Json::U64(self.borrowed)),
             ("conns", Json::U64(self.conns)),
             ("elect_ns", hist_json(&self.elect_ns.snapshot())),
             ("flight", self.flight_json(SCRAPE_RECENT, SCRAPE_SLOW)),
             ("flush_batch", hist_json(&self.flush_batch.snapshot())),
+            ("forwarded", Json::U64(self.forwarded)),
             ("queue_depth", Json::U64(queue_depth as u64)),
             ("shed", Json::U64(self.shed)),
             ("turn_ns", hist_json(&self.turn_ns.snapshot())),
@@ -366,7 +385,9 @@ impl IntrospectState {
 
     /// Drains loop `index`'s turn scratch into its shared probe and
     /// records the turn itself: one uncontended lock per readiness
-    /// turn, regardless of how many requests the turn served.
+    /// turn, regardless of how many requests the turn served. Records
+    /// of applies on borrowed shards go to their owners' probes (a
+    /// lock each; at most one probe lock is held at a time).
     pub(crate) fn commit_turn(
         &self,
         index: usize,
@@ -375,16 +396,26 @@ impl IntrospectState {
         conns: usize,
     ) {
         let mut p = self.probes[index].lock().unwrap();
-        for r in scratch.requests.drain(..) {
+        for r in scratch.requests.iter().filter(|r| r.shard == index) {
             p.record_request(r.opcode, r.object, r.queue_ns, r.apply_ns, r.batch);
         }
         for batch in scratch.flushes.drain(..) {
             p.flush_batch.record(batch);
         }
         p.shed += std::mem::take(&mut scratch.shed);
+        p.forwarded += std::mem::take(&mut scratch.forwarded);
+        p.borrowed += std::mem::take(&mut scratch.borrowed);
         p.wakeups += 1;
         p.turn_ns.record(turn_ns);
         p.conns = conns as u64;
+        drop(p);
+        for r in scratch.requests.iter().filter(|r| r.shard != index) {
+            self.probes[r.shard]
+                .lock()
+                .unwrap()
+                .record_request(r.opcode, r.object, r.queue_ns, r.apply_ns, r.batch);
+        }
+        scratch.requests.clear();
     }
 
     /// Loop `index`'s flight recorder as JSON (uncapped) — the panic

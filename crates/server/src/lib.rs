@@ -24,10 +24,11 @@
 //! * [`Server`] / [`ServerBuilder`] / [`ServerHandle`] — the serving
 //!   surface: one nonblocking event loop per shard, each owning both a
 //!   slice of the connections and the shard of objects whose ids land
-//!   on it, so same-shard requests apply inline with no queueing and
-//!   cross-shard requests travel bounded queues with typed `Busy`
-//!   backpressure. Frames parse in place out of per-loop arenas;
-//!   responses batch per readiness wakeup.
+//!   on it, so same-shard requests apply inline with no queueing,
+//!   cross-shard requests for a parked owner apply on the arriving
+//!   loop under the owner's shard lock, and the rest travel bounded
+//!   queues with typed `Busy` backpressure. Frames parse in place out
+//!   of per-loop arenas; responses batch per readiness wakeup.
 //! * Observability: a running server is never a black box. Any v2
 //!   client can scrape a deterministic `bso-introspect/v1` JSON
 //!   snapshot with [`Request::Introspect`] (per-shard queue depths,

@@ -18,22 +18,32 @@
 //! acceptor out of `accept()` with a throwaway connection, wakes every
 //! loop, and joins them. Loops answer everything already queued
 //! (cross-loop obligations are counted; see `event_loop.rs`) before
-//! exiting, bounded by a drain deadline.
+//! exiting, bounded by a drain deadline. The join is bounded too: a
+//! loop that has not exited [`JOIN_MARGIN`] past that deadline is named
+//! on stderr with its flight recorder and left behind, so a wedged loop
+//! cannot hang the caller (or the handle's drop).
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use bso_objects::Layout;
 use bso_telemetry::trace::TraceSink;
 use bso_telemetry::Registry;
 
-use crate::event_loop::{EventLoop, LoopHandle, Msg, Shared, StatCells};
+use crate::event_loop::{EventLoop, LoopHandle, Msg, Shared, StatCells, DRAIN_DEADLINE};
 use crate::introspect::{self, ConfigInfo, IntrospectState};
 use crate::poll::{self, PollBackend, Poller, WakeReader};
 use crate::routing::RouteControl;
 use crate::session::{ResumeTable, DEFAULT_MAX_SESSIONS, DEFAULT_REPLIES_PER_SESSION};
+use crate::shard::{Shard, ShardState};
+
+/// How long [`ServerHandle::shutdown`] waits for a loop past the loops'
+/// own drain deadline before it gives up on joining it.
+pub(crate) const JOIN_MARGIN: Duration = Duration::from_secs(1);
 
 /// Tuning knobs for the deprecated [`Server::bind`] entry point.
 #[deprecated(since = "0.2.0", note = "use `Server::builder()` instead")]
@@ -268,10 +278,15 @@ impl ServerBuilder {
         for i in 0..nloops {
             let poller = Poller::new(self.backend)?;
             let (reader, waker) = WakeReader::pair()?;
+            let shard = Shard::new(
+                ShardState::new(layout, i, nloops, &self.registry),
+                self.trace.worker(format!("server-loop{i}")),
+            );
             handles.push(LoopHandle::new(
                 self.queue_capacity,
                 self.registry.gauge(&format!("server.shard{i}.queue_depth")),
                 waker,
+                shard,
             ));
             pollers.push((poller, reader));
         }
@@ -295,23 +310,26 @@ impl ServerBuilder {
         bso_telemetry::progress::spawn_global_if_env();
 
         let mut loops = Vec::with_capacity(nloops);
+        let (exit_tx, exited) = mpsc::channel();
         for (i, (poller, reader)) in pollers.into_iter().enumerate() {
             let ev = EventLoop::new(
                 i,
                 nloops,
-                layout,
                 poller,
                 reader,
                 Arc::clone(&shared),
                 &self.registry,
                 self.read_chunk,
                 self.pin_cores,
-                self.trace.worker(format!("server-loop{i}")),
             );
+            let exit = ExitSignal(exit_tx.clone(), i);
             loops.push(
                 std::thread::Builder::new()
                     .name(format!("bso-loop{i}"))
-                    .spawn(move || ev.run())
+                    .spawn(move || {
+                        let _exit = exit;
+                        ev.run();
+                    })
                     .expect("spawn event loop"),
             );
         }
@@ -330,7 +348,18 @@ impl ServerBuilder {
             shared,
             acceptor: Some(acceptor),
             loops,
+            exited,
         })
+    }
+}
+
+/// Reports a loop thread's exit (a return or an unwind) to the handle
+/// joining it.
+struct ExitSignal(Sender<usize>, usize);
+
+impl Drop for ExitSignal {
+    fn drop(&mut self) {
+        let _ = self.0.send(self.1);
     }
 }
 
@@ -341,6 +370,8 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     loops: Vec<JoinHandle<()>>,
+    /// Indexes of loop threads that have exited.
+    exited: Receiver<usize>,
 }
 
 impl ServerHandle {
@@ -351,6 +382,8 @@ impl ServerHandle {
 
     /// Stops accepting, drains every loop (queued requests are
     /// answered), joins all threads, and returns the lifetime totals.
+    /// A loop still running a second past its drain deadline is named
+    /// on stderr with its flight recorder and left unjoined.
     pub fn shutdown(mut self) -> ServerStats {
         self.drain();
         self.shared.stats.snapshot()
@@ -367,9 +400,7 @@ impl ServerHandle {
         for l in &self.shared.loops {
             l.inbox.notify();
         }
-        for l in self.loops.drain(..) {
-            let _ = l.join();
-        }
+        self.join_loops(Instant::now() + DRAIN_DEADLINE + JOIN_MARGIN);
         // BSO_FLIGHT=path.json preserves the final introspection
         // snapshot — flight recorders included — as the server's
         // black box.
@@ -382,6 +413,30 @@ impl ServerHandle {
                     std::path::Path::new(&path).display()
                 );
             }
+        }
+    }
+
+    /// Joins every loop that exits by `deadline`; names the rest.
+    fn join_loops(&mut self, deadline: Instant) {
+        let mut pending: Vec<Option<JoinHandle<()>>> = self.loops.drain(..).map(Some).collect();
+        let mut left = pending.len();
+        while left > 0 {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let Ok(i) = self.exited.recv_timeout(wait) else {
+                break;
+            };
+            if let Some(h) = pending[i].take() {
+                let _ = h.join();
+                left -= 1;
+            }
+        }
+        for (i, _) in pending.iter().enumerate().filter(|(_, h)| h.is_some()) {
+            eprintln!(
+                "bso-server: bso-loop{i} did not exit within {:?} of shutdown; \
+                 left running. flight recorder:\n{}",
+                DRAIN_DEADLINE + JOIN_MARGIN,
+                self.shared.introspect.flight_json(i).render_pretty()
+            );
         }
     }
 }
@@ -493,39 +548,83 @@ mod tests {
         assert_eq!(stats.malformed, 0);
     }
 
-    #[test]
-    fn work_queued_while_every_loop_is_parked_is_served_within_a_bound() {
-        let handle = Server::builder()
+    /// Two shards, both idle: `ServerHandle` plus its shared state.
+    fn serve_two(layout: &Layout) -> ServerHandle {
+        Server::builder()
             .shards(2)
             .pin_cores(false)
-            .bind("127.0.0.1:0", &layout())
-            .unwrap();
+            .bind("127.0.0.1:0", layout)
+            .unwrap()
+    }
+
+    /// Waits (bounded) until every loop has parked.
+    fn await_parked(handle: &ServerHandle) {
+        let idle_by = Instant::now() + Duration::from_secs(10);
+        while !handle.shared.loops.iter().all(|l| l.inbox.is_parked()) {
+            assert!(Instant::now() < idle_by, "loops never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Shard `i`'s entry of a fresh `Introspect` scrape over `c`.
+    fn scrape_shard(c: &mut TcpStream, req_id: u64, i: usize) -> Json {
+        send(c, req_id, &Request::Introspect);
+        let (_, Response::Introspect(json)) = recv(c) else {
+            panic!("expected an introspect snapshot");
+        };
+        let doc = bso_telemetry::json::parse(&json).expect("snapshot parses");
+        doc.get("shards").and_then(Json::items).expect("shards")[i].clone()
+    }
+
+    fn field(shard: &Json, key: &str) -> u64 {
+        shard.get(key).and_then(Json::as_u64).expect(key)
+    }
+
+    fn fetch_add(obj: usize, by: i64) -> Request {
+        Request::Apply {
+            pid: 0,
+            op: Op::new(ObjectId(obj), OpKind::FetchAdd(by)),
+        }
+    }
+
+    #[test]
+    fn work_queued_while_every_loop_is_parked_is_served_within_a_bound() {
+        // Object i lives on loop i.
+        let mut layout = Layout::new();
+        layout.push(ObjectInit::FetchAdd(0));
+        layout.push(ObjectInit::FetchAdd(0));
+        let handle = serve_two(&layout);
         for round in 0..20u64 {
-            // Let both loops go idle: each parks before its wait, so
-            // the acceptor's `NewConn` (and, on loop 1, the cross-shard
-            // apply to object 2 and its reply) land on parked loops.
-            let idle_by = Instant::now() + Duration::from_secs(10);
-            while !handle.shared.loops.iter().all(|l| l.inbox.is_parked()) {
-                assert!(Instant::now() < idle_by, "loops never parked");
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            // Connection `round` lands on loop `round % 2` (the
+            // acceptor deals round-robin); its apply targets the other
+            // loop. Both loops are parked, so the acceptor's `NewConn`
+            // lands on a parked loop; holding the owner's shard lock
+            // makes the apply a transfer to a parked owner, and its
+            // reply one to a parked origin.
+            let owner = 1 - (round % 2) as usize;
+            await_parked(&handle);
+            let held = handle.shared.loops[owner].shard.lock();
             let mut c = TcpStream::connect(handle.local_addr()).unwrap();
             c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             send(&mut c, 1, &Request::Ping);
-            send(
-                &mut c,
-                2,
-                &Request::Apply {
-                    pid: 0,
-                    op: Op::new(ObjectId(2), OpKind::FetchAdd(1)),
-                },
-            );
+            send(&mut c, 2, &fetch_add(owner, 1));
+            // Release once the transfer is queued: the owner wakes to
+            // it and takes its shard back.
+            let queued_by = Instant::now() + Duration::from_secs(5);
+            while handle.shared.loops[owner].inbox.work_len() == 0 {
+                assert!(
+                    Instant::now() < queued_by,
+                    "round {round}: apply never forwarded"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(held);
             // A lost wakeup leaves the socket unregistered: the read
             // times out and `recv` fails instead of the test hanging.
             assert_eq!(recv(&mut c), (1, Response::Ok(Value::Nil)), "round {round}");
             assert_eq!(
                 recv(&mut c),
-                (2, Response::Ok(Value::Int(round as i64))),
+                (2, Response::Ok(Value::Int((round / 2) as i64))),
                 "round {round}"
             );
         }
@@ -533,6 +632,159 @@ mod tests {
         assert_eq!(stats.connections, 20);
         assert_eq!(stats.requests, 40);
         assert_eq!(stats.responses, 40);
+    }
+
+    #[test]
+    fn cross_shard_work_for_a_parked_owner_is_borrowed_without_waking_it() {
+        let handle = serve_two(&layout());
+        await_parked(&handle);
+        // The first connection lands on loop 0; object 1 and session 1
+        // live on loop 1.
+        let mut c = TcpStream::connect(handle.local_addr()).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let before = (scrape_shard(&mut c, 1, 0), scrape_shard(&mut c, 2, 1));
+        send(
+            &mut c,
+            3,
+            &Request::Apply {
+                pid: 0,
+                op: Op::write(ObjectId(1), Value::Int(4)),
+            },
+        );
+        assert_eq!(recv(&mut c), (3, Response::Ok(Value::Nil)));
+        // Sessions are numbered from 0: the first open is loop 0's own,
+        // the second belongs to loop 1.
+        send(&mut c, 4, &Request::OpenElection { k: 4 });
+        assert_eq!(recv(&mut c), (4, Response::Session(0)));
+        send(&mut c, 5, &Request::OpenElection { k: 4 });
+        assert_eq!(recv(&mut c), (5, Response::Session(1)));
+        send(&mut c, 6, &Request::Elect { session: 1, pid: 2 });
+        assert_eq!(recv(&mut c), (6, Response::Ok(Value::Pid(2))));
+        let after = (scrape_shard(&mut c, 7, 0), scrape_shard(&mut c, 8, 1));
+        assert_eq!(
+            field(&after.1, "wakeups"),
+            field(&before.1, "wakeups"),
+            "the parked owner never woke"
+        );
+        assert_eq!(
+            field(&after.0, "borrowed"),
+            field(&before.0, "borrowed") + 3
+        );
+        assert_eq!(field(&after.0, "forwarded"), 0);
+        // The applies are recorded on the shard they ran on.
+        let count = |shard: &Json, hist: &str| {
+            shard
+                .get(hist)
+                .and_then(|h| h.get("count"))
+                .and_then(Json::as_u64)
+        };
+        assert_eq!(count(&after.1, "apply_ns"), Some(1));
+        assert_eq!(count(&after.1, "elect_ns"), Some(1));
+        // The borrowed write is the owner's state now.
+        send(
+            &mut c,
+            9,
+            &Request::Apply {
+                pid: 0,
+                op: Op::read(ObjectId(1)),
+            },
+        );
+        assert_eq!(recv(&mut c), (9, Response::Ok(Value::Int(4))));
+        drop(c);
+        let stats = handle.shutdown();
+        assert_eq!(stats.requests, 9);
+        assert_eq!(stats.responses, 9);
+    }
+
+    #[test]
+    fn a_request_never_overtakes_an_earlier_forwarded_one() {
+        let mut layout = Layout::new();
+        layout.push(ObjectInit::FetchAdd(0));
+        layout.push(ObjectInit::FetchAdd(0));
+        let handle = serve_two(&layout);
+        await_parked(&handle);
+        let stop = Arc::new(AtomicBool::new(false));
+        // Holds and releases loop 1's shard lock in short bursts, so a
+        // pipelined burst to object 1 mixes forwarded requests (lock
+        // held) with borrowable ones (lock free, owner parked).
+        let toggler = {
+            let shared = Arc::clone(&handle.shared);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut spins = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let held = shared.loops[1].shard.lock();
+                    for _ in 0..200 + spins % 300 {
+                        std::hint::spin_loop();
+                    }
+                    drop(held);
+                    for _ in 0..200 + spins % 500 {
+                        std::hint::spin_loop();
+                    }
+                    spins = spins.wrapping_mul(6364136223846793005).wrapping_add(1);
+                }
+            })
+        };
+        let mut c = TcpStream::connect(handle.local_addr()).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut next = 0i64;
+        for burst in 0..200u64 {
+            let mut frames = Vec::new();
+            for i in 0..32u64 {
+                wire::encode_request(burst * 32 + i, &fetch_add(1, 1), &mut frames).unwrap();
+            }
+            c.write_all(&frames).unwrap();
+            let mut got = HashMap::new();
+            for _ in 0..32 {
+                let (id, resp) = recv(&mut c);
+                got.insert(id, resp);
+            }
+            // Requests from one connection apply in the order sent: the
+            // i-th FetchAdd(1) returns i, however each one was routed.
+            for i in 0..32u64 {
+                assert_eq!(
+                    got[&(burst * 32 + i)],
+                    Response::Ok(Value::Int(next)),
+                    "burst {burst}, request {i}"
+                );
+                next += 1;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        toggler.join().unwrap();
+        send(&mut c, u64::MAX, &Request::Introspect);
+        recv(&mut c);
+        drop(c);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_gives_up_on_a_loop_that_cannot_finish_its_turn() {
+        let handle = serve_two(&layout());
+        await_parked(&handle);
+        // While the test holds loop 1's shard, loop 1 cannot start a
+        // turn: woken for the drain, it waits for the lock.
+        let shared = Arc::clone(&handle.shared);
+        let held = shared.loops[1].shard.lock();
+        let t = Instant::now();
+        let stats = handle.shutdown();
+        let took = t.elapsed();
+        assert!(
+            took >= DRAIN_DEADLINE + JOIN_MARGIN - Duration::from_millis(100),
+            "returned before the bound: {took:?}"
+        );
+        assert!(
+            took < DRAIN_DEADLINE + JOIN_MARGIN + Duration::from_secs(2),
+            "shutdown overran its bound: {took:?}"
+        );
+        assert_eq!(stats.requests, 0);
+        // Released, the wedged loop finishes its drain and exits.
+        drop(held);
+        let exited_by = Instant::now() + Duration::from_secs(10);
+        while !shared.loops[1].inbox.is_closed() {
+            assert!(Instant::now() < exited_by, "loop 1 never exited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

@@ -1,20 +1,24 @@
-//! Per-loop shard state.
+//! Per-loop shard state, and the lock a parked owner leaves it behind.
 //!
 //! Objects are partitioned across event loops by id (`ObjectId(i)`
-//! lives on loop `i mod nshards`), and each loop owns its
-//! [`ShardState`] outright — there is no locking around an object,
-//! ever. A request arriving on the loop that owns its object is
-//! applied inline (the fast path); a request for another loop's object
+//! lives on loop `i mod nshards`). A request arriving on the loop that
+//! owns its object is applied inline (the fast path). A request for
+//! another loop's object is applied by the arriving loop too when that
+//! owner is parked: the owner leaves its [`Shard`] in its
+//! [`ShardLock`] while it waits, and the arriving loop borrows it for
+//! one apply with a `try_lock` that never blocks. Otherwise the request
 //! crosses exactly one bounded [`Inbox`](crate::inbox::Inbox). Routing
 //! never blocks: a full inbox is answered with a typed
 //! [`ErrorCode::Busy`] response instead of stalling the event loop —
 //! backpressure is the client's problem to retry, not the server's to
 //! absorb.
 //!
-//! Because one loop owns each object outright, operations on it are
-//! trivially linearizable: the linearization point is the loop's
-//! sequential [`ObjectState::apply`]. Cross-object operations don't
-//! exist in the wire protocol, so no loop ever waits on another.
+//! Whichever thread runs it, an apply runs with exclusive access to
+//! the shard (the owner holds it for its whole turn, a borrower holds
+//! its lock), so operations on an object are trivially linearizable:
+//! the linearization point is the sequential [`ObjectState::apply`].
+//! Cross-object operations don't exist in the wire protocol, and no
+//! loop ever waits for a peer's shard.
 //!
 //! Election sessions (see [`crate::wire::Request::OpenElection`]) are
 //! sharded the same way by session id. Each session instantiates the
@@ -26,14 +30,119 @@
 //! election code.
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, MutexGuard};
 
 use bso_objects::spec::ObjectState;
 use bso_objects::{Layout, Op, Value};
 use bso_protocols::CasOnlyElection;
 use bso_sim::{Action, Protocol};
+use bso_telemetry::trace::{TraceArg, TraceWorker};
 use bso_telemetry::{Counter, Histogram, Registry};
 
-use crate::wire::{ErrorCode, Response};
+use crate::wire::{ErrorCode, Response, TraceContext};
+
+const POISONED: &str = "shard lock poisoned by a panicking loop";
+
+/// One loop's shard as it travels between its owner and a borrowing
+/// peer: the objects and sessions, plus the trace track its
+/// `server.apply` spans land on (the owning loop's, whichever thread
+/// ran the apply).
+pub(crate) struct Shard {
+    pub(crate) state: ShardState,
+    trace: TraceWorker,
+}
+
+impl Shard {
+    pub(crate) fn new(state: ShardState, trace: TraceWorker) -> Shard {
+        Shard { state, trace }
+    }
+
+    /// Timestamp for a traced apply's span start, or `None` when the
+    /// request is untraced or the trace track is disabled — the
+    /// no-trace fast path never reads the trace clock.
+    pub(crate) fn span_start(&self, trace: Option<TraceContext>) -> Option<u64> {
+        (trace.is_some() && self.trace.is_enabled()).then(|| self.trace.now_ns())
+    }
+
+    /// Records the `server.apply` span for a traced request.
+    pub(crate) fn record_apply(
+        &self,
+        trace: Option<TraceContext>,
+        t0: Option<u64>,
+        object: u64,
+        dur_ns: u64,
+    ) {
+        if let (Some(ctx), Some(t0)) = (trace, t0) {
+            self.trace.event_at(
+                t0,
+                Some(dur_ns),
+                "server.apply",
+                [
+                    ("trace_id", TraceArg::U64(ctx.trace_id)),
+                    ("span_id", TraceArg::U64(ctx.span_id)),
+                    ("obj", TraceArg::U64(object)),
+                ],
+            );
+        }
+    }
+}
+
+/// Where a loop's [`Shard`] waits while its owner is parked. The owner
+/// [`take`](ShardLock::take)s it when it unparks and
+/// [`put`](ShardLock::put)s it back before it parks, so a parked owner
+/// never holds the lock; a peer [`try_borrow`](ShardLock::try_borrow)s
+/// it for one apply and never blocks on it.
+pub(crate) struct ShardLock(Mutex<Option<Box<Shard>>>);
+
+impl ShardLock {
+    pub(crate) fn new(shard: Shard) -> ShardLock {
+        ShardLock(Mutex::new(Some(Box::new(shard))))
+    }
+
+    /// The owner's half: takes the shard for a turn, waiting out a peer
+    /// that is borrowing it (for one apply at most).
+    pub(crate) fn take(&self) -> Box<Shard> {
+        self.lock()
+            .take()
+            .expect("only the owner takes its shard, once per turn")
+    }
+
+    /// Puts the shard back before the owner parks.
+    pub(crate) fn put(&self, shard: Box<Shard>) {
+        *self.lock() = Some(shard);
+    }
+
+    /// A peer's half: the shard, if its owner left it here and nobody
+    /// holds the lock right now. Never blocks.
+    pub(crate) fn try_borrow(&self) -> Option<Borrowed<'_>> {
+        let guard = self.0.try_lock().ok()?;
+        guard.is_some().then_some(Borrowed(guard))
+    }
+
+    /// Blocks until the lock is free and holds it: while the guard
+    /// lives, the owner cannot start a turn and no peer can borrow.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Option<Box<Shard>>> {
+        self.0.lock().expect(POISONED)
+    }
+}
+
+/// A peer's shard, held for one apply.
+pub(crate) struct Borrowed<'a>(MutexGuard<'a, Option<Box<Shard>>>);
+
+impl Deref for Borrowed<'_> {
+    type Target = Shard;
+
+    fn deref(&self) -> &Shard {
+        self.0.as_deref().expect("checked by try_borrow")
+    }
+}
+
+impl DerefMut for Borrowed<'_> {
+    fn deref_mut(&mut self) -> &mut Shard {
+        self.0.as_deref_mut().expect("checked by try_borrow")
+    }
+}
 
 /// Telemetry handles one shard records into.
 struct ShardMetrics {
@@ -45,8 +154,10 @@ struct ShardMetrics {
 }
 
 /// One event loop's slice of the object space plus its election
-/// sessions. Strictly single-owner: only the owning loop ever touches
-/// it, so every method takes `&mut self` and the interior is lock-free.
+/// sessions. Exclusive by construction: only the thread holding the
+/// [`Shard`] (its owner, or a peer that borrowed it from the
+/// [`ShardLock`]) touches it, so every method takes `&mut self` and the
+/// interior is lock-free.
 pub(crate) struct ShardState {
     /// `objects[id]` is `Some` only for ids this shard owns; the rest
     /// of the id space stays `None` so misrouted ids fail loudly

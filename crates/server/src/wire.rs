@@ -703,6 +703,25 @@ fn put_op_kind(out: &mut Vec<u8>, kind: &OpKind) -> Result<(), WireError> {
     Ok(())
 }
 
+/// Appends one framed [`Request::Apply`] of a borrowed `op` to `out`:
+/// the bytes [`encode_request`] writes, without building (or cloning
+/// an `Op` into) the request first.
+///
+/// # Errors
+///
+/// As [`encode_request`].
+pub fn encode_apply(req_id: u64, pid: u32, op: &Op, out: &mut Vec<u8>) -> Result<(), WireError> {
+    frame(out, VERSION, |body| put_apply(body, req_id, pid, op))
+}
+
+fn put_apply(body: &mut Vec<u8>, req_id: u64, pid: u32, op: &Op) -> Result<(), WireError> {
+    body.push(OP_APPLY);
+    put_u64(body, req_id);
+    put_u32(body, pid);
+    put_u32(body, op.obj.0 as u32);
+    put_op_kind(body, &op.kind)
+}
+
 /// Appends one framed request (length prefix included) to `out`.
 ///
 /// # Errors
@@ -713,13 +732,7 @@ fn put_op_kind(out: &mut Vec<u8>, kind: &OpKind) -> Result<(), WireError> {
 pub fn encode_request(req_id: u64, req: &Request, out: &mut Vec<u8>) -> Result<(), WireError> {
     frame(out, VERSION, |body| {
         match req {
-            Request::Apply { pid, op } => {
-                body.push(OP_APPLY);
-                put_u64(body, req_id);
-                put_u32(body, *pid);
-                put_u32(body, op.obj.0 as u32);
-                put_op_kind(body, &op.kind)?;
-            }
+            Request::Apply { pid, op } => put_apply(body, req_id, *pid, op)?,
             Request::OpenElection { k } => {
                 body.push(OP_OPEN_ELECTION);
                 put_u64(body, req_id);
@@ -1616,6 +1629,15 @@ mod tests {
         assert_eq!(peek_req_id(body), Some(0xABCD));
         assert_eq!(peek_version(&[]), None);
         assert_eq!(peek_req_id(&body[..9]), None);
+    }
+
+    #[test]
+    fn encode_apply_matches_encode_request() {
+        let op = Op::cas(ObjectId(3), Value::Int(1), Value::Pid(2));
+        let (mut borrowed, mut owned) = (Vec::new(), Vec::new());
+        encode_apply(9, 4, &op, &mut borrowed).unwrap();
+        encode_request(9, &Request::Apply { pid: 4, op }, &mut owned).unwrap();
+        assert_eq!(borrowed, owned);
     }
 
     #[test]
